@@ -2,13 +2,8 @@
 
 from __future__ import annotations
 
-from repro import kernels
 from repro.branch.base import DirectionPredictor, saturating_update
 from repro.utils import log2_int, require_power_of_two
-
-#: Compiled training step, or None on the pure-Python backend (the
-#: update below then keeps its original inline arithmetic).
-_native_update = kernels.gshare_update if kernels.NATIVE else None
 
 
 class GsharePredictor(DirectionPredictor):
@@ -16,6 +11,10 @@ class GsharePredictor(DirectionPredictor):
 
     A 16 KB budget holds 64 Ki 2-bit counters, indexed by
     ``PC xor global_history`` over 16 bits — the paper's configuration.
+    The table is a ``bytearray`` with one byte per counter: the
+    collector does not track it (a list of 64 Ki ints is walked by every
+    full collection, and every acmp machine holds nine of them), and
+    checkpoints store it verbatim.
     """
 
     def __init__(
@@ -30,7 +29,9 @@ class GsharePredictor(DirectionPredictor):
         # allocate=False builds a hollow predictor whose counter table
         # arrives via load_warm_state; predicting before a load is a
         # programming error.
-        self._counters = [2] * entries if allocate else []  # weakly taken
+        self._counters = (
+            bytearray(b"\x02") * entries if allocate else bytearray()
+        )  # weakly taken
         self._history = 0
         self._index_shift = 2
 
@@ -45,16 +46,6 @@ class GsharePredictor(DirectionPredictor):
         return self._counters[self._index(address)] >= 2
 
     def update(self, address: int, taken: bool) -> None:
-        if _native_update is not None:
-            self._history = _native_update(
-                self._counters,
-                self._history,
-                self._mask,
-                self._index_shift,
-                address,
-                taken,
-            )
-            return
         index = self._index(address)
         self._counters[index] = saturating_update(self._counters[index], taken)
         self._history = ((self._history << 1) | int(taken)) & self._mask
@@ -68,6 +59,11 @@ class GsharePredictor(DirectionPredictor):
     def load_warm_state(self, state) -> None:
         """Adopt a snapshot; the table is shared, not copied."""
         counters = state["counters"]
+        if type(counters) is not bytearray:
+            raise ValueError(
+                f"gshare snapshot counters must be a bytearray, got "
+                f"{type(counters).__name__}"
+            )
         if len(counters) != self._entries:
             raise ValueError(
                 f"gshare snapshot has {len(counters)} counters, "

@@ -273,7 +273,9 @@ def _main_gc(argv: list[str]) -> int:
         prog="python -m repro.campaign gc",
         description="Drop store entries whose machine/engine/sampling "
         "flavor no longer parses (corrupt JSON, retired machine models, "
-        "unknown flavor formats).",
+        "unknown flavor formats), and warm checkpoints that can no longer "
+        "be served (damaged, stale, or in the retired detailN.json "
+        "format).",
     )
     parser.add_argument("store", help="store tree to collect")
     parser.add_argument(

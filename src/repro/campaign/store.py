@@ -489,10 +489,15 @@ def merge_stores(
     dropped); :meth:`ResultStore.failed_specs` already ignores entries
     whose run has since landed, so merged journals stay usable as
     resume manifests. Warm-checkpoint trees (``checkpoints/`` beside
-    the entries) are unioned the same newest-wins way, so merged trees
-    keep amortising functional warming for every future sampled run.
+    the entries) are unioned the same newest-wins way, entry by entry
+    as :meth:`CheckpointStore.entry_paths` lists them (retired-format
+    entries stay behind), so merged trees keep amortising functional
+    warming for every future sampled run.
     """
     import shutil
+
+    # Deferred: the checkpoint store builds on this module's helpers.
+    from repro.sampling.checkpoints import CheckpointStore
 
     destination_store = ResultStore(destination)
     report = MergeReport()
@@ -532,11 +537,9 @@ def merge_stores(
             # copy2 preserves mtimes, keeping newest-wins transitive
             # across repeated merges.
             shutil.copy2(path, target)
-        source_checkpoints = source_store.root / "checkpoints"
+        source_checkpoints = source_store.root / CheckpointStore.SUBDIR
         if source_checkpoints.is_dir():
-            for path in sorted(
-                source_checkpoints.glob("*/*/*/*/*/detail*.json")
-            ):
+            for path in CheckpointStore(source_checkpoints).entry_paths():
                 relative = path.relative_to(source_store.root)
                 target = destination_store.root / relative
                 if target.exists() and (

@@ -1,8 +1,8 @@
 """Hot-structure kernels: an optional compiled backend with a pure spec.
 
 The timing hot paths — set-associative tag probes
-(:mod:`repro.cache.set_assoc`), gshare/BTB table updates
-(:mod:`repro.branch`) and the batched functional-warming line walk
+(:mod:`repro.cache.set_assoc`), BTB probes
+(:mod:`repro.branch.btb`) and the batched functional-warming line walk
 (:mod:`repro.sampling.warmer`) — are plain loops over Python lists.
 This package provides them twice:
 
@@ -39,7 +39,6 @@ __all__ = [
     "NATIVE",
     "backend_name",
     "find_way",
-    "gshare_update",
     "btb_probe",
     "warm_lines",
     "warm_span",
@@ -56,6 +55,13 @@ if _REQUESTED not in ("", "py", "compiled"):
         f"REPRO_KERNELS must be 'py' or 'compiled', got {_REQUESTED!r}"
     )
 
+#: Interface version the compiled extension must report as ``ABI``.
+#: Bumped whenever an entry point's signature or table types change
+#: (2: ``warm_span`` takes the gshare table as a ``bytearray``), so an
+#: extension built from older source is treated as stale rather than
+#: failing mid-run on a type check.
+ABI = 2
+
 _native = None
 if _REQUESTED != "py":
     try:
@@ -67,9 +73,9 @@ if _REQUESTED != "py":
                 "built; run `python -m repro.kernels.build` first"
             ) from None
     else:
-        # A stale build from before an entry point was added must not
-        # half-engage: either the whole surface is native or none of it.
-        if not hasattr(_native, "replay_walk"):
+        # A stale build from older source must not half-engage: either
+        # the whole current surface is native or none of it.
+        if getattr(_native, "ABI", None) != ABI:
             if _REQUESTED == "compiled":
                 raise ConfigurationError(
                     "REPRO_KERNELS=compiled but the built extension is "
@@ -90,14 +96,12 @@ REPLAY_STEPS = pylib.REPLAY_STEPS
 
 if NATIVE:
     find_way = _native.find_way
-    gshare_update = _native.gshare_update
     btb_probe = _native.btb_probe
     warm_lines = _native.warm_lines
     warm_span = _native.warm_span
     replay_walk = _native.replay_walk
 else:
     find_way = pylib.find_way
-    gshare_update = pylib.gshare_update
     btb_probe = pylib.btb_probe
     warm_lines = pylib.warm_lines
     warm_span = pylib.warm_span

@@ -2,11 +2,15 @@
  *
  * Bit-identical C implementations of repro.kernels.pylib: first-match
  * scans, first-minimum victim tie-breaks, lazy LRU order-list
- * materialization. All tables stay ordinary Python lists of ints (or
- * None for invalid ways), so capture/restore of warm state and every
- * pure-Python consumer keep working unchanged; the speedup comes from
- * replacing interpreter dispatch on the innermost loops, not from a
- * parallel storage format.
+ * materialization. The tables are the consumers' own storage —
+ * ordinary Python lists of ints (or None for invalid ways), and the
+ * gshare counter table's bytearray — so capture/restore of warm state
+ * and every pure-Python consumer keep working unchanged; the speedup
+ * comes from replacing interpreter dispatch on the innermost loops,
+ * not from a parallel storage format.
+ *
+ * The module reports its interface version as ABI; repro.kernels
+ * refuses an extension whose ABI differs from its own.
  *
  * Built by `python -m repro.kernels.build` with the system C compiler;
  * no third-party packages.
@@ -131,37 +135,6 @@ kernels_find_way(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     return PyLong_FromSsize_t(list_find_ll(args[0], value));
-}
-
-/* gshare_update(counters, history, mask, shift, address, taken) -> history */
-static PyObject *
-kernels_gshare_update(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 6 || !PyList_Check(args[0])) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "gshare_update(counters, history, mask, shift, address, taken)");
-        return NULL;
-    }
-    long long history = PyLong_AsLongLong(args[1]);
-    long long mask = PyLong_AsLongLong(args[2]);
-    long long shift = PyLong_AsLongLong(args[3]);
-    long long address = PyLong_AsLongLong(args[4]);
-    int taken = PyObject_IsTrue(args[5]);
-    if (taken < 0 || PyErr_Occurred()) {
-        return NULL;
-    }
-    Py_ssize_t index = (Py_ssize_t)(((address >> shift) ^ history) & mask);
-    long long counter =
-        PyLong_AsLongLong(PyList_GET_ITEM(args[0], index));
-    if (taken) {
-        if (counter < 3 && list_set_ll(args[0], index, counter + 1) < 0) {
-            return NULL;
-        }
-    } else if (counter > 0 && list_set_ll(args[0], index, counter - 1) < 0) {
-        return NULL;
-    }
-    return PyLong_FromLongLong(((history << 1) | (taken ? 1 : 0)) & mask);
 }
 
 /* btb_probe(tags, targets, index, address) -> target or None */
@@ -475,15 +448,24 @@ kernels_warm_span(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         !PyList_Check(t.l1_tags) || !PyList_Check(t.l1_order) ||
         !PyList_Check(t.l2_tags) || !PyList_Check(t.l2_order) ||
         !PySet_Check(t.l1_seen) || !PySet_Check(t.l2_seen) ||
-        !PyList_Check(g_counters) || !PyList_Check(lp_tags) ||
+        !PyByteArray_Check(g_counters) || !PyList_Check(lp_tags) ||
         !PyList_Check(lp_trips) || !PyList_Check(lp_currents) ||
         !PyList_Check(lp_conf) || !PyList_Check(b_tags) ||
         !PyList_Check(b_targets) ||
         (have_itlb && (!PyDict_Check(t_map) || !PySet_Check(t_seen)))) {
         PyErr_SetString(PyExc_TypeError,
-                        "warm_span table arguments must be lists/sets/dicts");
+                        "warm_span table arguments must be lists/sets/dicts "
+                        "(the gshare table a bytearray)");
         return NULL;
     }
+    if (g_mask < 0 || g_mask >= PyByteArray_GET_SIZE(g_counters)) {
+        PyErr_SetString(PyExc_IndexError,
+                        "warm_span gshare mask exceeds the counter table");
+        return NULL;
+    }
+    /* One byte per 2-bit counter; nothing below resizes the table. */
+    unsigned char *g_table =
+        (unsigned char *)PyByteArray_AS_STRING(g_counters);
     if (bstart < 0 || bend > PyList_GET_SIZE(starts)) {
         PyErr_SetString(PyExc_IndexError, "warm_span block range out of bounds");
         return NULL;
@@ -512,16 +494,13 @@ kernels_warm_span(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                 PyLong_AsLongLong(PyList_GET_ITEM(takens, index));
             Py_ssize_t gi =
                 (Py_ssize_t)(((address >> g_shift) ^ g_history) & g_mask);
-            long long counter =
-                PyLong_AsLongLong(PyList_GET_ITEM(g_counters, gi));
+            unsigned char counter = g_table[gi];
             if (taken) {
-                if (counter < 3 &&
-                    list_set_ll(g_counters, gi, counter + 1) < 0) {
-                    return NULL;
+                if (counter < 3) {
+                    g_table[gi] = counter + 1;
                 }
-            } else if (counter > 0 &&
-                       list_set_ll(g_counters, gi, counter - 1) < 0) {
-                return NULL;
+            } else if (counter > 0) {
+                g_table[gi] = counter - 1;
             }
             g_history = ((g_history << 1) | (taken ? 1 : 0)) & g_mask;
             long long tag = address >> lp_shift;
@@ -683,8 +662,6 @@ kernels_replay_walk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef kernels_methods[] = {
     {"find_way", (PyCFunction)kernels_find_way, METH_FASTCALL,
      "First index of target in row, or -1."},
-    {"gshare_update", (PyCFunction)kernels_gshare_update, METH_FASTCALL,
-     "One gshare training step; returns the new history."},
     {"btb_probe", (PyCFunction)kernels_btb_probe, METH_FASTCALL,
      "Tagged BTB probe; returns the target or None."},
     {"warm_lines", (PyCFunction)kernels_warm_lines, METH_FASTCALL,
@@ -707,5 +684,10 @@ static struct PyModuleDef kernels_module = {
 PyMODINIT_FUNC
 PyInit__native(void)
 {
-    return PyModule_Create(&kernels_module);
+    PyObject *module = PyModule_Create(&kernels_module);
+    if (module != NULL && PyModule_AddIntConstant(module, "ABI", 2) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

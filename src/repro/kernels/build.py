@@ -9,8 +9,8 @@ is the whole build.
 
 ``python -m repro.kernels.build --check`` reports the selected backend,
 the compiler the build would use, and whether the built extension is
-stale (older than ``_native.c``, or missing entry points the current
-spec exports) — the first stop when a run is unexpectedly on the
+stale (older than ``_native.c``, missing entry points the current
+spec exports, or reporting an older interface version) — the first stop when a run is unexpectedly on the
 pure-Python backend.
 """
 
@@ -86,7 +86,8 @@ def staleness(out_dir: pathlib.Path | None = None) -> str | None:
     """Why the built extension cannot serve the current spec, or None.
 
     Returns a human-readable reason — missing, older than ``_native.c``,
-    or missing entry points the spec exports — or ``None`` when the
+    missing entry points the spec exports, or an older ``ABI`` — or
+    ``None`` when the
     build is present and current.
     """
     from repro.kernels import pylib
@@ -108,6 +109,13 @@ def staleness(out_dir: pathlib.Path | None = None) -> str | None:
     ]
     if missing:
         return f"{target.name} lacks entry points: {', '.join(missing)}"
+    from repro.kernels import ABI
+
+    if getattr(native, "ABI", None) != ABI:
+        return (
+            f"{target.name} reports ABI {getattr(native, 'ABI', None)}, "
+            f"expected {ABI}"
+        )
     return None
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 __all__ = [
     "find_way",
-    "gshare_update",
     "btb_probe",
     "warm_lines",
     "warm_span",
@@ -47,30 +46,6 @@ def find_way(row: list, target) -> int:
         return row.index(target)
     except ValueError:
         return -1
-
-
-def gshare_update(
-    counters: list[int],
-    history: int,
-    mask: int,
-    shift: int,
-    address: int,
-    taken: bool,
-) -> int:
-    """One gshare training step; returns the new global history.
-
-    Saturates the 2-bit counter at ``(address >> shift) ^ history``
-    (masked) toward ``taken`` and shifts the outcome into the history —
-    exactly :meth:`repro.branch.gshare.GsharePredictor.update`.
-    """
-    index = ((address >> shift) ^ history) & mask
-    counter = counters[index]
-    if taken:
-        if counter < 3:
-            counters[index] = counter + 1
-    elif counter > 0:
-        counters[index] = counter - 1
-    return ((history << 1) | (1 if taken else 0)) & mask
 
 
 def btb_probe(tags: list[int], targets: list[int], index: int, address: int):
@@ -209,7 +184,7 @@ def warm_span(
     l2_shift: int,
     l2_set_mask: int,
     l2_seen: set[int],
-    g_counters: list[int],
+    g_counters: bytearray,
     g_history: int,
     g_mask: int,
     g_shift: int,

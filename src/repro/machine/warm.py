@@ -25,6 +25,15 @@ speedup. Callers that need an independent, durable snapshot serialize
 through :meth:`WarmState.to_dict`, which deep-copies into JSON
 primitives; :meth:`WarmState.from_dict` rebuilds a snapshot whose
 storage is fresh.
+
+Table types: every table is a Python list (cache tag rows, replacement
+orders, loop-predictor and BTB entries) or a set (the compulsory-miss
+classifiers), except the gshare counter table, which is a ``bytearray``
+with one byte per 2-bit counter
+(:class:`repro.branch.gshare.GsharePredictor`). The collector does not
+track a ``bytearray``, and restores require that type.
+:meth:`WarmState.to_dict` renders it as a list of ints, which
+:meth:`WarmState.from_dict` converts back once.
 """
 
 from __future__ import annotations
@@ -35,6 +44,17 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 
 __all__ = ["WarmState"]
+
+
+def _jsonable(value):
+    """JSON stand-ins for the non-JSON table types: sets become sorted
+    lists (equal states render identically), gshare counter tables
+    lists of ints."""
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    if isinstance(value, bytearray):
+        return list(value)
+    raise TypeError(f"not JSON-serialisable: {type(value)}")
 
 
 @dataclass
@@ -79,14 +99,9 @@ class WarmState:
         The result shares no storage with any simulated machine, so it
         can be persisted or compared while simulation continues. Live
         sets (the compulsory-miss classifiers, captured by reference)
-        serialize as sorted lists, so equal states render identically.
+        serialize as sorted lists, so equal states render identically;
+        gshare counter tables serialize as lists of ints.
         """
-
-        def jsonable(value):
-            if isinstance(value, (set, frozenset)):
-                return sorted(value)
-            raise TypeError(f"not JSON-serialisable: {type(value)}")
-
         return json.loads(
             json.dumps(
                 {
@@ -98,7 +113,7 @@ class WarmState:
                     "groups": self.groups,
                     "shape": self.shape,
                 },
-                default=jsonable,
+                default=_jsonable,
             )
         )
 
@@ -109,20 +124,26 @@ class WarmState:
         The payload is deep-copied (one JSON round trip), so the
         snapshot owns fresh storage: restoring it never couples a
         system to the caller's dict, matching the docstring promise of
-        :meth:`to_dict`.
+        :meth:`to_dict`. Gshare counter lists become ``bytearray``
+        tables here, once.
         """
         try:
-            data = json.loads(json.dumps(data))
+            data = json.loads(json.dumps(data, default=_jsonable))
+            predictors = list(data["predictors"])
+            for predictor in predictors:
+                direction = predictor.get("direction")
+                if isinstance(direction, dict) and "counters" in direction:
+                    direction["counters"] = bytearray(direction["counters"])
             return cls(
                 machine=data["machine"],
                 config_label=data["config_label"],
                 cores=list(data["cores"]),
-                predictors=list(data["predictors"]),
+                predictors=predictors,
                 itlbs=list(data["itlbs"]),
                 groups=list(data["groups"]),
                 shape=data.get("shape", ""),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigurationError(
                 f"malformed warm-state payload: {exc}"
             ) from exc

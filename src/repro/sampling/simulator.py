@@ -483,7 +483,7 @@ class SampledSimulator:
         # either.
         warming: System | None = None
         warmer: BatchedWarmer | None = None
-        pending_restore: dict | None = None
+        pending_restore: bytes | None = None
         walk_cursor = 0
         hits = misses = writes = 0
 

@@ -8,10 +8,16 @@ Three contracts:
   identity (header verification, shape digests) and degrade to misses,
   never to wrong state;
 * the campaign maintenance commands treat the checkpoint tree as
-  first-class: ``gc`` prunes stale/unparsable entries, ``merge``
+  first-class: ``gc`` prunes stale/unparsable/legacy entries, ``merge``
   unions trees newest-wins.
+
+Plus the binary container itself: byte-exact round trips, and a
+corruption battery in which every damaged entry is a miss that the
+next ``put`` heals.
 """
 
+import gc
+import json
 import os
 import time
 from dataclasses import replace
@@ -22,12 +28,21 @@ from repro.campaign.store import ResultStore, merge_stores
 from repro.errors import ConfigurationError
 from repro.machine.model import get_model
 from repro.machine.system import warm_shape_digest
+from repro.machine.warm import WarmState
 from repro.sampling import (
     BatchedWarmer,
     CheckpointKey,
     CheckpointStore,
     SamplingPlan,
     trace_fingerprint,
+)
+from repro.sampling.checkpoints import (
+    _MAGIC,
+    _PREFIX,
+    _pack,
+    _unpack,
+    decode_state,
+    encode_state,
 )
 from repro.sampling.simulator import _warm_interval
 from repro.sampling.slicer import IntervalKind, slice_traces
@@ -114,12 +129,22 @@ def _key(**overrides):
     return CheckpointKey(**fields)
 
 
+def _blob(label="shared::32KB"):
+    """A small valid encoded state; ``label`` tells writers apart."""
+    return encode_state(WarmState(machine="acmp", config_label=label))
+
+
+def _label(entry):
+    return decode_state(entry).config_label
+
+
 class TestCheckpointStore:
     def test_round_trip(self, tmp_path):
         store = CheckpointStore(tmp_path)
         assert store.get(_key(), 0) is None
-        store.put(_key(), 0, {"cores": []}, "shared::32KB")
-        assert store.get(_key(), 0) == {"cores": []}
+        store.put(_key(), 0, _blob(), "shared::32KB")
+        assert decode_state(store.get(_key(), 0)) == decode_state(_blob())
+        assert store.path_for(_key(), 0).name == "detail0.ckpt"
         assert len(store) == 1
         assert store.total_bytes() > 0
 
@@ -137,7 +162,7 @@ class TestCheckpointStore:
     )
     def test_identity_mismatch_is_a_miss(self, tmp_path, mismatch):
         store = CheckpointStore(tmp_path)
-        store.put(_key(), 0, {"cores": []})
+        store.put(_key(), 0, _blob())
         other = _key(**mismatch)
         # A differing key lands in a different directory; force the
         # collision by copying the entry onto the other key's path.
@@ -148,13 +173,18 @@ class TestCheckpointStore:
 
     def test_wrong_detail_index_and_corruption_are_misses(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        path = store.put(_key(), 2, {"cores": []})
-        assert store.get(_key(), 2) == {"cores": []}
+        path = store.put(_key(), 2, _blob())
+        assert store.get(_key(), 2) is not None
         bad = store.path_for(_key(), 3)
         bad.write_bytes(path.read_bytes())  # claims detail=2, named 3
         assert store.get(_key(), 3) is None
-        path.write_text("{ not json")
+        path.write_bytes(b"not a checkpoint")
         assert store.get(_key(), 2) is None
+
+    def test_put_refuses_a_non_container(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        with pytest.raises(ConfigurationError, match="encoded warm state"):
+            store.put(_key(), 0, b"{}")
 
     def test_gc_prunes_stale_and_unparsable_entries(self, tmp_path):
         traces = synthesize_benchmark("CG", thread_count=3, scale=0.05)
@@ -163,12 +193,14 @@ class TestCheckpointStore:
             fingerprint=trace_fingerprint(traces),
         )
         store = CheckpointStore(tmp_path)
-        live = store.put(live_key, 0, {"cores": []})
-        stale = store.put(replace(live_key, fingerprint="d" * 12), 0, {})
-        retired = store.put(_key(machine="vliw9000"), 0, {})
+        live = store.put(live_key, 0, _blob())
+        stale = store.put(
+            replace(live_key, fingerprint="d" * 12), 0, _blob()
+        )
+        retired = store.put(_key(machine="vliw9000"), 0, _blob())
         corrupt = store.path_for(_key(benchmark="BT"), 0)
         corrupt.parent.mkdir(parents=True, exist_ok=True)
-        corrupt.write_text("{ not json")
+        corrupt.write_bytes(_MAGIC + b"\x00" * 4)
 
         preview = set(store.gc(dry_run=True))
         assert preview == {stale, retired, corrupt}
@@ -184,10 +216,10 @@ class TestCheckpointStore:
         key = _key()
         store_a = CheckpointStore(roots[0] / CheckpointStore.SUBDIR)
         store_b = CheckpointStore(roots[1] / CheckpointStore.SUBDIR)
-        store_a.put(key, 0, {"writer": "a"})
-        store_a.put(key, 1, {"writer": "a"})
-        store_b.put(key, 1, {"writer": "b"})
-        store_b.put(key, 2, {"writer": "b"})
+        store_a.put(key, 0, _blob("a"))
+        store_a.put(key, 1, _blob("a"))
+        store_b.put(key, 1, _blob("b"))
+        store_b.put(key, 2, _blob("b"))
         # Host B's detail1 is strictly newer than host A's.
         newer = time.time() + 10
         os.utime(store_b.path_for(key, 1), (newer, newer))
@@ -196,9 +228,176 @@ class TestCheckpointStore:
         assert report.checkpoints >= 3
         assert "checkpoint" in report.summary()
         merged = CheckpointStore(roots[2] / CheckpointStore.SUBDIR)
-        assert merged.get(key, 0) == {"writer": "a"}
-        assert merged.get(key, 1) == {"writer": "b"}
-        assert merged.get(key, 2) == {"writer": "b"}
+        assert _label(merged.get(key, 0)) == "a"
+        assert _label(merged.get(key, 1)) == "b"
+        assert _label(merged.get(key, 2)) == "b"
+
+
+def _legacy_entry(store, key, detail_index):
+    """Plant an entry of the retired JSON format beside the new ones."""
+    path = store.path_for(key, detail_index).with_suffix(".json")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps(
+            {"key": key.header(), "detail": detail_index, "state": {}}
+        )
+    )
+    return path
+
+
+class TestLegacyEntries:
+    """``detail<k>.json`` entries of the retired format are never
+    served, never merged, and pruned by gc."""
+
+    def test_get_treats_a_legacy_entry_as_a_miss(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        _legacy_entry(store, _key(), 0)
+        assert store.get(_key(), 0) is None
+        assert len(store) == 0
+
+    def test_gc_prunes_legacy_entries(self, tmp_path):
+        traces = synthesize_benchmark("CG", thread_count=3, scale=0.05)
+        live_key = _key(
+            benchmark="CG", threads=3, scale=0.05,
+            fingerprint=trace_fingerprint(traces),
+        )
+        store = CheckpointStore(tmp_path)
+        live = store.put(live_key, 0, _blob())
+        legacy = _legacy_entry(store, live_key, 1)
+        assert store.gc(dry_run=True) == [legacy]
+        assert legacy.exists()
+        assert store.gc() == [legacy]
+        assert not legacy.exists()
+        assert live.exists()
+
+    def test_merge_lists_entries_through_the_store(self, tmp_path):
+        source, destination = tmp_path / "host", tmp_path / "merged"
+        ResultStore(source)
+        store = CheckpointStore(source / CheckpointStore.SUBDIR)
+        current = store.put(_key(), 0, _blob())
+        legacy = _legacy_entry(store, _key(), 1)
+
+        report = merge_stores([source], destination)
+        assert report.checkpoints == 1
+        merged_root = destination / CheckpointStore.SUBDIR
+        relative = current.relative_to(store.root)
+        assert (merged_root / relative).read_bytes() == current.read_bytes()
+        assert not (merged_root / legacy.relative_to(store.root)).exists()
+
+
+def _warmed_state(machine="acmp"):
+    model = get_model(machine)
+    config = model.baseline_config()
+    traces = synthesize_benchmark(
+        "UA", thread_count=config.core_count, scale=0.2
+    )
+    system = model.build_system(config, traces)
+    system.warm_instruction_l2s()
+    warmer = BatchedWarmer(system, traces)
+    for interval in _warm_intervals(traces):
+        warmer.warm_interval(interval)
+    return model, config, traces, system.capture_warm_state()
+
+
+class TestCodec:
+    @pytest.mark.parametrize("machine", ["acmp", "scmp"])
+    def test_round_trip_is_byte_identical(self, machine):
+        _, _, _, state = _warmed_state(machine)
+        blob = encode_state(state)
+        decoded = decode_state(blob)
+        assert encode_state(decoded) == blob
+        assert decoded.to_dict() == state.to_dict()
+        assert encode_state(state) == blob  # deterministic
+
+    def test_dense_tables_are_compressed_sections(self):
+        _, _, _, state = _warmed_state()
+        blob = encode_state(state)
+        header, _ = _unpack(blob)
+        typecodes = {typecode for typecode, _, _ in header["sections"]}
+        assert typecodes == {"B", "h", "i", "q"}
+        # Nine 64 Ki-counter gshare tables alone inflate to 576 KiB.
+        assert header["body"] > 9 * 65536
+        assert len(blob) < header["body"] // 10
+
+    def test_gshare_tables_are_untracked_by_gc(self):
+        model, config, traces, state = _warmed_state()
+        system = model.build_system(config, traces)
+        directions = [core.frontend.predictor.direction
+                      for core in system.cores]
+        assert not any(gc.is_tracked(d._counters) for d in directions)
+        system.restore_warm_state(decode_state(encode_state(state)))
+        assert all(type(d._counters) is bytearray for d in directions)
+        assert not any(gc.is_tracked(d._counters) for d in directions)
+
+
+def _rewrite_header(blob, mutate):
+    """Re-pack ``blob`` with ``mutate`` applied to its header (the CRC
+    is recomputed, so only the mutation itself is wrong)."""
+    header, compressed = _unpack(blob)
+    mutate(header)
+    return _pack(header, compressed)
+
+
+def _shrink_body(header):
+    """Declare 8 bytes less body (the last section shrinks to match),
+    so the stream inflates past the declared size."""
+    header["body"] -= 8
+    header["sections"][-1][2] -= 8
+
+
+def _stretch_last_section(header):
+    header["sections"][-1][2] += 8
+
+
+def _header_end(blob):
+    length, _ = _PREFIX.unpack_from(blob, len(_MAGIC))
+    return len(_MAGIC) + _PREFIX.size + length
+
+
+def _flip_compressed_byte(blob):
+    start = _header_end(blob)
+    middle = start + (len(blob) - start) // 2
+    return blob[:middle] + bytes([blob[middle] ^ 0xFF]) + blob[middle + 1:]
+
+
+_CORRUPTIONS = {
+    "bad_magic": lambda blob: b"X" + blob[1:],
+    "truncated_header": lambda blob: blob[: _header_end(blob) - 5],
+    "truncated_body": lambda blob: blob[:-6],
+    "flipped_compressed_byte": _flip_compressed_byte,
+    "section_past_body_end": lambda blob: _rewrite_header(
+        blob, _stretch_last_section
+    ),
+    "body_inflates_beyond_declared_size": lambda blob: _rewrite_header(
+        blob, _shrink_body
+    ),
+}
+
+
+class TestCorruptionBattery:
+    """Every damaged entry is a miss, never an exception or wrong
+    state, and the next ``put`` heals it."""
+
+    @pytest.fixture(scope="class")
+    def blob(self):
+        return encode_state(_warmed_state()[3])
+
+    @pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+    def test_damage_is_a_miss_and_put_self_heals(self, tmp_path, blob, case):
+        store = CheckpointStore(tmp_path)
+        path = store.put(_key(), 0, blob)
+        good = path.read_bytes()
+        assert store.get(_key(), 0) == good
+        damaged = _CORRUPTIONS[case](good)
+        assert damaged != good
+        path.write_bytes(damaged)
+        # A fresh reader: no memo of the verified entry.
+        assert CheckpointStore(tmp_path).get(_key(), 0) is None
+        with pytest.raises(ConfigurationError):
+            decode_state(damaged)
+        store.put(_key(), 0, blob)
+        assert path.read_bytes() == good
+        assert CheckpointStore(tmp_path).get(_key(), 0) == good
 
 
 class TestShapeDigest:

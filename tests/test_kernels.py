@@ -34,35 +34,6 @@ class TestPylib:
         assert pylib.find_way(row, 0xC0) == -1
         assert pylib.find_way([], 0x40) == -1
 
-    def test_gshare_update_matches_predictor_inline_path(self, monkeypatch):
-        from repro.branch import gshare as gshare_module
-
-        # Force the predictor onto its inline arithmetic, then replay
-        # the same stream through pylib on a copied table.
-        monkeypatch.setattr(gshare_module, "_native_update", None)
-        predictor = gshare_module.GsharePredictor(size_bytes=1024)
-        counters = list(predictor._counters)
-        history = predictor._history
-        mask = predictor._mask
-        shift = predictor._index_shift
-        rng = random.Random(11)
-        for _ in range(2000):
-            address = rng.randrange(1 << 20)
-            taken = rng.random() < 0.5
-            predictor.update(address, taken)
-            history = pylib.gshare_update(
-                counters, history, mask, shift, address, taken
-            )
-        assert counters == predictor._counters
-        assert history == predictor._history
-
-    def test_gshare_update_saturates(self):
-        counters = [3, 0]
-        assert pylib.gshare_update(counters, 0, 1, 0, 0, True) == 1
-        assert counters == [3, 0]  # saturated high, no write
-        assert pylib.gshare_update(counters, 1, 1, 0, 0, False) == 0
-        assert counters == [3, 0]  # saturated low, no write
-
     def test_btb_probe(self):
         tags = [-1, 0x104]
         targets = [0, 0x9000]
@@ -132,6 +103,11 @@ def _random_warm_tables(rng):
 
 
 class TestCompiledEquivalence:
+    def test_reports_current_abi(self, native):
+        from repro import kernels
+
+        assert native.ABI == kernels.ABI
+
     def test_find_way(self, native):
         rng = random.Random(21)
         for _ in range(300):
@@ -146,24 +122,6 @@ class TestCompiledEquivalence:
             assert native.find_way(row, target) == pylib.find_way(
                 row, target
             ), (row, target)
-
-    def test_gshare_update(self, native):
-        rng = random.Random(22)
-        mask = (1 << 12) - 1
-        counters_a = [rng.randrange(4) for _ in range(mask + 1)]
-        counters_b = list(counters_a)
-        history_a = history_b = 0
-        for _ in range(5000):
-            address = rng.randrange(1 << 24)
-            taken = rng.random() < 0.5
-            history_a = native.gshare_update(
-                counters_a, history_a, mask, 2, address, taken
-            )
-            history_b = pylib.gshare_update(
-                counters_b, history_b, mask, 2, address, taken
-            )
-        assert history_a == history_b
-        assert counters_a == counters_b
 
     def test_btb_probe(self, native):
         rng = random.Random(23)
@@ -315,30 +273,6 @@ class TestConsumerRouting:
         assert routed._policy._order == inline._policy._order
         assert routed.stats.hits == inline.stats.hits
         assert routed.stats.misses == inline.stats.misses
-
-    def test_gshare_kernel_path_matches_inline(self, monkeypatch):
-        from repro.branch import gshare as gshare_module
-
-        rng = random.Random(32)
-        stream = [
-            (rng.randrange(1 << 20), rng.random() < 0.5)
-            for _ in range(3000)
-        ]
-
-        monkeypatch.setattr(gshare_module, "_native_update", None)
-        inline = gshare_module.GsharePredictor(size_bytes=1024)
-        for address, taken in stream:
-            inline.update(address, taken)
-
-        monkeypatch.setattr(
-            gshare_module, "_native_update", pylib.gshare_update
-        )
-        routed = gshare_module.GsharePredictor(size_bytes=1024)
-        for address, taken in stream:
-            routed.update(address, taken)
-
-        assert routed._counters == inline._counters
-        assert routed._history == inline._history
 
     def test_btb_kernel_path_matches_inline(self, monkeypatch):
         from repro.branch import btb as btb_module
@@ -751,7 +685,7 @@ def _random_span_state(rng, have_itlb):
         "l2_shift": 6,
         "l2_set_mask": l2_sets - 1,
         "l2_seen": set(),
-        "g_counters": [rng.randrange(4) for _ in range(64)],
+        "g_counters": bytearray(rng.randrange(4) for _ in range(64)),
         "g_history": rng.randrange(64),
         "g_mask": 63,
         "g_shift": 2,
@@ -845,9 +779,11 @@ class TestCompiledSpanEquivalence:
 # -- build CLI ---------------------------------------------------------------
 
 
-def _fresh_kernels_with_stale_native(monkeypatch, value):
-    """Re-import repro.kernels against a fake pre-PR native module
-    (old entry points only), restoring real bindings afterwards."""
+def _fresh_kernels_with_stale_native(monkeypatch, value, abi=None):
+    """Re-import repro.kernels against a fake native module built from
+    older source, restoring real bindings afterwards. By default it
+    carries only the earliest entry points and no ``ABI``; with ``abi``
+    it carries every current entry point but reports that version."""
     import types
 
     if value is None:
@@ -861,9 +797,12 @@ def _fresh_kernels_with_stale_native(monkeypatch, value):
     }
     stale = types.ModuleType("repro.kernels._native")
     stale.find_way = pylib.find_way
-    stale.gshare_update = pylib.gshare_update
     stale.btb_probe = pylib.btb_probe
     stale.warm_lines = pylib.warm_lines  # no warm_span / replay_walk
+    if abi is not None:
+        stale.warm_span = pylib.warm_span
+        stale.replay_walk = pylib.replay_walk
+        stale.ABI = abi
     sys.modules["repro.kernels._native"] = stale
     try:
         return importlib.import_module("repro.kernels")
@@ -883,6 +822,17 @@ class TestStaleExtension:
         module = _fresh_kernels_with_stale_native(monkeypatch, None)
         assert module.NATIVE is False
         assert module.backend_name() == "py"
+
+    def test_older_abi_is_stale(self, monkeypatch):
+        """An extension with every entry point but an older table
+        layout (list-typed gshare counters) must not engage."""
+        from repro import kernels
+
+        older = kernels.ABI - 1
+        with pytest.raises(ConfigurationError, match="stale"):
+            _fresh_kernels_with_stale_native(monkeypatch, "compiled", older)
+        module = _fresh_kernels_with_stale_native(monkeypatch, None, older)
+        assert module.NATIVE is False
 
 
 class TestBuildCli:

@@ -15,13 +15,12 @@ matrix):
   checkpoints.
 """
 
-import json
-
 import pytest
 
 from repro.machine.model import get_model
 from repro.machine.serialization import result_to_dict
 from repro.machine.simulator import simulate
+from repro.machine.warm import WarmState
 from repro.sampling import (
     Checkpointing,
     CheckpointKey,
@@ -29,6 +28,7 @@ from repro.sampling import (
     SamplingPlan,
     simulate_sampled,
 )
+from repro.sampling.checkpoints import _unpack, decode_state, encode_state
 from repro.trace.synthesis import synthesize_benchmark
 
 EXACT_PLAN = SamplingPlan(
@@ -151,7 +151,7 @@ class TestCheckpointResume:
         )
         cold = simulate_sampled(config, traces, TINY_PLAN, checkpoints=policy)
         entries = sorted(
-            store.root.glob("*/*/*/*/*/detail*.json"),
+            store.entry_paths(),
             key=lambda path: int(path.stem.removeprefix("detail")),
         )
         assert len(entries) >= 2
@@ -179,17 +179,22 @@ class TestCheckpointResume:
         )
         writer_a = CheckpointStore(tmp_path / "checkpoints")
         writer_b = CheckpointStore(tmp_path / "checkpoints")
+
+        def blob(round_index, writer):
+            return encode_state(
+                WarmState(machine="acmp", config_label=f"{round_index}{writer}")
+            )
+
+        def label(entry):
+            return decode_state(entry).config_label
+
         for round_index in range(3):
-            writer_a.put(key, 0, {"round": round_index, "writer": "a"})
-            assert writer_b.get(key, 0) == {
-                "round": round_index, "writer": "a",
-            }
-            writer_b.put(key, 0, {"round": round_index, "writer": "b"})
+            writer_a.put(key, 0, blob(round_index, "a"))
+            assert label(writer_b.get(key, 0)) == f"{round_index}a"
+            writer_b.put(key, 0, blob(round_index, "b"))
             reader = CheckpointStore(tmp_path / "checkpoints")
-            assert reader.get(key, 0) == {
-                "round": round_index, "writer": "b",
-            }
-            payload = json.loads(writer_a.path_for(key, 0).read_text())
-            assert payload["key"] == key.header()
+            assert label(reader.get(key, 0)) == f"{round_index}b"
+            header, _ = _unpack(writer_a.path_for(key, 0).read_bytes())
+            assert header["key"] == key.header()
         assert not list((tmp_path / "checkpoints").rglob("*.tmp"))
         assert len(writer_a) == 1
