@@ -90,8 +90,8 @@ def test_emit_campaign_timing(tmp_path):
       with a cold result store;
     * ``cached``: a second invocation against the now-warm store.
     """
-    from repro.acmp.simulator import AcmpSimulator
     from repro.acmp.system import AcmpSystem
+    from repro.machine import SystemSimulator
     from repro.experiments.common import ExperimentContext
     from repro.experiments.registry import run_experiment
 
@@ -157,7 +157,7 @@ def test_emit_campaign_timing(tmp_path):
         traces = synthesize_benchmark(bench, thread_count=9, scale=BENCH_SCALE)
         system = AcmpSystem(config, traces)
         system.warm_instruction_l2s()
-        simulator = AcmpSimulator(system)
+        simulator = SystemSimulator(system)
         simulator.run()
         stats = simulator.kernel.stats
         total_steps = stats.component_steps + stats.component_steps_avoided
@@ -325,15 +325,12 @@ def test_emit_campaign_timing(tmp_path):
         return blocks, best
 
     batched_blocks, batched_s = time_batched()  # active backend
-    saved_bindings = (warmer_module._native_span, warmer_module._native_warm)
+    saved_span = warmer_module._native_span
     warmer_module._native_span = None
-    warmer_module._native_warm = None
     try:
         _, py_batched_s = time_batched()
     finally:
-        warmer_module._native_span, warmer_module._native_warm = (
-            saved_bindings
-        )
+        warmer_module._native_span = saved_span
     scalar_system = model.build_system(base_cfg, probe_traces)
     started = time.perf_counter()
     for interval in warm_intervals:
@@ -577,8 +574,8 @@ def test_emit_campaign_timing(tmp_path):
     assert warming_probe["batched_blocks_per_s"] >= 100_000
     assert warming_probe["batched_blocks_per_s_py"] >= 100_000
     if kernels.NATIVE:
-        # The span kernel must beat PR 7's per-block compiled walk
-        # (711k blocks/s on this container), not merely the py path.
+        # The span kernel must beat the retired per-block compiled
+        # walk (711k blocks/s on this container), not merely the py path.
         assert warming_probe["batched_blocks_per_s_compiled"] > 711_000
         # The compiled replay walks must actually engage on every
         # scheduler probe — the settlement paths all route through it.

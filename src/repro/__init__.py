@@ -32,9 +32,7 @@ To regenerate a paper figure::
 
 from repro.acmp import (
     AcmpConfig,
-    AcmpSimulator,
     AcmpSystem,
-    SimulationResult,
     all_shared_config,
     baseline_config,
     worker_shared_config,
@@ -44,6 +42,7 @@ from repro.acmp import (
 )
 from repro.machine import (
     MachineModel,
+    SimulationResult,
     SystemSimulator,
     get_model,
     model_for_config,
@@ -89,7 +88,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AcmpConfig",
-    "AcmpSimulator",
     "AcmpSystem",
     "MachineModel",
     "ScmpConfig",

@@ -11,36 +11,17 @@ from repro.acmp.config import (
     baseline_config,
     worker_shared_config,
 )
-from repro.acmp.results import CacheGroupResult, CoreResult, SimulationResult
-from repro.acmp.serialization import (
-    load_result,
-    load_results,
-    result_from_dict,
-    result_to_dict,
-    save_result,
-    save_results,
-)
 from repro.acmp.model import MODEL
-from repro.acmp.simulator import AcmpSimulator, simulate
+from repro.acmp.simulator import simulate
 from repro.acmp.system import AcmpSystem, EventQueue
 from repro.acmp.topology import CacheGroup, Topology, build_topology
 
 __all__ = [
     "MODEL",
-    "load_result",
-    "load_results",
-    "result_from_dict",
-    "result_to_dict",
-    "save_result",
-    "save_results",
     "AcmpConfig",
     "all_shared_config",
     "baseline_config",
     "worker_shared_config",
-    "CacheGroupResult",
-    "CoreResult",
-    "SimulationResult",
-    "AcmpSimulator",
     "simulate",
     "AcmpSystem",
     "EventQueue",

@@ -1,8 +1,8 @@
-"""ACMP entry points for the machine-neutral simulation driver.
+"""ACMP build-and-run helper over the machine-neutral simulator.
 
-The main loop and the build-and-run helper are machine-agnostic
-(:mod:`repro.machine.simulator`); this module keeps the ACMP-named
-aliases every existing caller and the seed API used.
+The main loop is machine-agnostic
+(:class:`repro.machine.simulator.SystemSimulator`); this module keeps
+the ACMP-pinned :func:`simulate` the seed API and many callers use.
 """
 
 from __future__ import annotations
@@ -13,11 +13,7 @@ from repro.machine.results import SimulationResult
 from repro.machine.simulator import SystemSimulator
 from repro.trace.stream import TraceSet
 
-__all__ = ["AcmpSimulator", "simulate"]
-
-
-class AcmpSimulator(SystemSimulator):
-    """Runs one :class:`AcmpSystem` to completion on a simulation kernel."""
+__all__ = ["simulate"]
 
 
 def simulate(
@@ -35,6 +31,6 @@ def simulate(
     system = AcmpSystem(config, traces)
     if warm_l2:
         system.warm_instruction_l2s()
-    return AcmpSimulator(system, cycle_skip=cycle_skip).run(
+    return SystemSimulator(system, cycle_skip=cycle_skip).run(
         max_cycles=max_cycles
     )

@@ -20,9 +20,10 @@ from repro.errors import SimulationError
 from repro.utils import require_positive
 
 #: Compiled credit-trajectory walk, or None on the pure-Python backend —
-#: the planning/settlement methods below then keep their inline loops.
-#: One entry point serves all four walks (see repro.kernels.pylib).
-_native_replay = kernels.replay_walk if kernels.NATIVE else None
+#: the planning/settlement methods below then run their inline loops.
+#: One entry point serves all four walks, selected by the ``REPLAY_*``
+#: modes of :mod:`repro.kernels`.
+_native_replay = kernels.replay_walk
 _REPLAY_NEXT = kernels.REPLAY_NEXT
 _REPLAY_HORIZON = kernels.REPLAY_HORIZON
 _REPLAY_DRAIN = kernels.REPLAY_DRAIN

@@ -10,16 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import kernels
 from repro.cache.replacement import ReplacementPolicy, make_policy
 from repro.cache.stats import CacheStats
 from repro.errors import ConfigurationError
 from repro.utils import log2_int, require_power_of_two
-
-#: Compiled tag-row scan, or None on the pure-Python backend (the
-#: methods below then keep their original inline try/except scans, so
-#: the fallback pays no extra call indirection).
-_native_find_way = kernels.find_way if kernels.NATIVE else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,13 +100,10 @@ class SetAssociativeCache:
         line = address & self._line_mask
         set_index = (line >> self._line_shift) & self._set_mask
         tags = self._tags[set_index]
-        if _native_find_way is not None:
-            way = _native_find_way(tags, line)
-        else:
-            try:
-                way = tags.index(line)
-            except ValueError:
-                way = -1
+        try:
+            way = tags.index(line)
+        except ValueError:
+            way = -1
         if way < 0:
             self.stats.record_miss(line)
             return False
@@ -129,13 +120,10 @@ class SetAssociativeCache:
         line = address & self._line_mask
         set_index = (line >> self._line_shift) & self._set_mask
         tags = self._tags[set_index]
-        if _native_find_way is not None:
-            way = _native_find_way(tags, line)
-        else:
-            try:
-                way = tags.index(line)
-            except ValueError:
-                way = -1
+        try:
+            way = tags.index(line)
+        except ValueError:
+            way = -1
         if way >= 0:
             self._policy.on_access(set_index, way)
             self.stats.record_hit()
@@ -157,13 +145,10 @@ class SetAssociativeCache:
 
     def _fill(self, set_index: int, line: int) -> int | None:
         tags = self._tags[set_index]
-        if _native_find_way is not None:
-            way = _native_find_way(tags, None)
-        else:
-            try:
-                way = tags.index(None)
-            except ValueError:
-                way = -1
+        try:
+            way = tags.index(None)
+        except ValueError:
+            way = -1
         if way >= 0:
             victim: int | None = None
         else:

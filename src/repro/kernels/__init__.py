@@ -1,30 +1,35 @@
-"""Hot-structure kernels: an optional compiled backend with a pure spec.
+"""Hot-loop kernels: backend selection and the two compiled entry points.
 
-The timing hot paths — set-associative tag probes
-(:mod:`repro.cache.set_assoc`), BTB probes
-(:mod:`repro.branch.btb`) and the batched functional-warming line walk
-(:mod:`repro.sampling.warmer`) — are plain loops over Python lists.
-This package provides them twice:
+Two hot loops have a hand-written C replacement in
+``repro.kernels._native``, built by ``python -m repro.kernels.build``
+(any C compiler; no third-party packages):
 
-* :mod:`repro.kernels.pylib` — the pure-Python reference
-  implementations. Always available; they *are* the contract the
-  compiled backend is tested against.
-* ``repro.kernels._native`` — a hand-written C extension built by
-  ``python -m repro.kernels.build`` (any C compiler; no third-party
-  packages). Bit-identical to ``pylib`` on every operation, enforced by
-  :mod:`tests.test_kernels` and the CI compiled-vs-python matrix leg.
+* ``warm_span`` — the :class:`~repro.sampling.warmer.BatchedWarmer`
+  span walk (iTLB, line buffers, LRU L1I/L2, gshare, loop predictor and
+  BTB over one thread's flat span encoding), replacing
+  ``BatchedWarmer._walk_span_py``;
+* ``replay_walk`` — the four deterministic credit-trajectory walks of
+  :class:`~repro.backend.backend.CommitEngine`, replacing their inline
+  loops (the mode selectors are the ``REPLAY_*`` constants below).
+
+Each consumer keeps its inline loop as the one Python implementation;
+the compiled entry point must be bit-identical to it, and
+:mod:`tests.test_kernels` checks exactly that. Behind the inline loops
+stand the two oracles: the scalar warming walk
+(``repro.sampling.simulator._warm_interval``) and the stepped engine
+(``cycle_skip=False``).
 
 Selection happens once at import: the native module is used when its
-shared object is present, otherwise the pure-Python fallback — the
+shared object is present, otherwise the inline loops run — the
 compiler is never a hard dependency. The ``REPRO_KERNELS`` environment
-variable overrides the choice: ``py`` forces the fallback even when the
-extension is built; ``compiled`` demands the extension and raises
-:class:`~repro.errors.ConfigurationError` when it is missing (so CI
-legs cannot silently test the wrong backend).
+variable overrides the choice: ``py`` forces the inline loops even when
+the extension is built; ``compiled`` demands the extension and raises
+:class:`~repro.errors.ConfigurationError` when it is missing or stale
+(so CI legs cannot silently test the wrong backend).
 
-Consumers branch on :data:`NATIVE` at *their* import time and keep
-their original inline loops when it is False, so the pure-Python path
-pays no extra call indirection for the abstraction.
+Consumers bind the entry points at *their* import time (``None`` on the
+pure-Python backend), so the inline path pays only an ``is not None``
+guard.
 """
 
 from __future__ import annotations
@@ -33,14 +38,11 @@ import importlib
 import os
 
 from repro.errors import ConfigurationError
-from repro.kernels import pylib
 
 __all__ = [
+    "ABI",
     "NATIVE",
     "backend_name",
-    "find_way",
-    "btb_probe",
-    "warm_lines",
     "warm_span",
     "replay_walk",
     "REPLAY_NEXT",
@@ -62,6 +64,13 @@ if _REQUESTED not in ("", "py", "compiled"):
 #: failing mid-run on a type check.
 ABI = 2
 
+#: :func:`replay_walk` mode selectors, one per
+#: :class:`~repro.backend.backend.CommitEngine` walk.
+REPLAY_NEXT = 0  # cycles_to_next_commit: first credit >= 1.0 crossing
+REPLAY_HORIZON = 1  # replay_horizon: drain/space trigger, else cap
+REPLAY_DRAIN = 2  # drain_horizon: exact queue-empty cycle, else none
+REPLAY_STEPS = 3  # replay_steps: settle a span, return the new state
+
 _native = None
 if _REQUESTED != "py":
     try:
@@ -75,12 +84,13 @@ if _REQUESTED != "py":
     else:
         # A stale build from older source must not half-engage: either
         # the whole current surface is native or none of it.
-        if getattr(_native, "ABI", None) != ABI:
+        found = getattr(_native, "ABI", None)
+        if found != ABI:
             if _REQUESTED == "compiled":
                 raise ConfigurationError(
                     "REPRO_KERNELS=compiled but the built extension is "
-                    "stale (missing entry points); rerun "
-                    "`python -m repro.kernels.build` "
+                    f"stale (it reports ABI {found}, expected {ABI}); "
+                    "rerun `python -m repro.kernels.build` "
                     "(`--check` shows the staleness)"
                 )
             _native = None
@@ -88,24 +98,9 @@ if _REQUESTED != "py":
 #: True when the compiled backend is active for this process.
 NATIVE = _native is not None
 
-#: :func:`replay_walk` mode selectors (see :mod:`repro.kernels.pylib`).
-REPLAY_NEXT = pylib.REPLAY_NEXT
-REPLAY_HORIZON = pylib.REPLAY_HORIZON
-REPLAY_DRAIN = pylib.REPLAY_DRAIN
-REPLAY_STEPS = pylib.REPLAY_STEPS
-
-if NATIVE:
-    find_way = _native.find_way
-    btb_probe = _native.btb_probe
-    warm_lines = _native.warm_lines
-    warm_span = _native.warm_span
-    replay_walk = _native.replay_walk
-else:
-    find_way = pylib.find_way
-    btb_probe = pylib.btb_probe
-    warm_lines = pylib.warm_lines
-    warm_span = pylib.warm_span
-    replay_walk = pylib.replay_walk
+#: The compiled entry points, or None on the pure-Python backend.
+warm_span = _native.warm_span if NATIVE else None
+replay_walk = _native.replay_walk if NATIVE else None
 
 
 def backend_name() -> str:

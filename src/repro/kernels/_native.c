@@ -1,13 +1,16 @@
-/* Compiled hot-structure kernels.
+/* Compiled hot-loop kernels: two entry points.
  *
- * Bit-identical C implementations of repro.kernels.pylib: first-match
- * scans, first-minimum victim tie-breaks, lazy LRU order-list
- * materialization. The tables are the consumers' own storage —
- * ordinary Python lists of ints (or None for invalid ways), and the
- * gshare counter table's bytearray — so capture/restore of warm state
- * and every pure-Python consumer keep working unchanged; the speedup
- * comes from replacing interpreter dispatch on the innermost loops,
- * not from a parallel storage format.
+ * warm_span replaces BatchedWarmer._walk_span_py (repro.sampling.warmer)
+ * and replay_walk replaces the four credit-trajectory walks of
+ * CommitEngine (repro.backend.backend). Each is bit-identical to the
+ * consumer's inline Python loop — first-match scans, first-minimum
+ * victim tie-breaks, lazy LRU order-list materialization, seen-set and
+ * dict insertion order, float rounding — which tests/test_kernels.py
+ * checks. The tables are the consumers' own storage: ordinary Python
+ * lists of ints (or None for invalid ways), sets, dicts and the gshare
+ * counter table's bytearray, so capture/restore of warm state keeps
+ * working unchanged; the speedup comes from replacing interpreter
+ * dispatch on the innermost loops, not from a parallel storage format.
  *
  * The module reports its interface version as ABI; repro.kernels
  * refuses an extension whose ABI differs from its own.
@@ -119,49 +122,8 @@ order_touch(PyObject *order, long long way)
     return 0;
 }
 
-/* find_way(row, target) -> first index or -1; target is int or None. */
-static PyObject *
-kernels_find_way(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2 || !PyList_Check(args[0])) {
-        PyErr_SetString(PyExc_TypeError, "find_way(row: list, target)");
-        return NULL;
-    }
-    if (args[1] == Py_None) {
-        return PyLong_FromSsize_t(list_find_none(args[0]));
-    }
-    long long value = PyLong_AsLongLong(args[1]);
-    if (value == -1 && PyErr_Occurred()) {
-        return NULL;
-    }
-    return PyLong_FromSsize_t(list_find_ll(args[0], value));
-}
-
-/* btb_probe(tags, targets, index, address) -> target or None */
-static PyObject *
-kernels_btb_probe(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 4 || !PyList_Check(args[0]) || !PyList_Check(args[1])) {
-        PyErr_SetString(PyExc_TypeError,
-                        "btb_probe(tags, targets, index, address)");
-        return NULL;
-    }
-    Py_ssize_t index = PyLong_AsSsize_t(args[2]);
-    long long address = PyLong_AsLongLong(args[3]);
-    if (PyErr_Occurred()) {
-        return NULL;
-    }
-    PyObject *tag = PyList_GET_ITEM(args[0], index);
-    if (PyLong_Check(tag) && PyLong_AsLongLong(tag) == address) {
-        PyObject *target = PyList_GET_ITEM(args[1], index);
-        Py_INCREF(target);
-        return target;
-    }
-    Py_RETURN_NONE;
-}
-
-/* The shared lb/L1/L2 warm tables of one core, bound once per call so
- * the per-line helper below keeps a flat signature. */
+/* The lb/L1/L2 warm tables of one core, bound once per warm_span call
+ * so the per-line helper below keeps a flat signature. */
 typedef struct {
     PyObject *lb_lines;
     PyObject *lb_uses;
@@ -182,9 +144,9 @@ typedef struct {
 } warm_tables;
 
 /* One line through the line buffers, then L1I and L2 on misses —
- * the per-line body of pylib.warm_lines/warm_span, statement for
- * statement (first-match scans, first-minimum victims, lazy order
- * lists). Returns 0, or -1 with an exception set. */
+ * the per-line body of BatchedWarmer._walk_span_py's LRU path,
+ * statement for statement (first-match scans, first-minimum victims,
+ * lazy order lists). Returns 0, or -1 with an exception set. */
 static int
 warm_one_line(warm_tables *t, long long line)
 {
@@ -320,59 +282,6 @@ itlb_step(PyObject *t_map, PyObject *t_seen, long long *t_clock,
     return rc;
 }
 
-/* warm_lines(line, end_address, line_bytes,
- *            lb_lines, lb_uses, lb_clock,
- *            l1_tags, l1_order, l1_ways, l1_shift, l1_set_mask, l1_seen,
- *            l2_tags, l2_order, l2_ways, l2_shift, l2_set_mask, l2_seen)
- *   -> new lb_clock
- * Mirrors pylib.warm_lines statement for statement. */
-static PyObject *
-kernels_warm_lines(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 18) {
-        PyErr_SetString(PyExc_TypeError, "warm_lines expects 18 arguments");
-        return NULL;
-    }
-    long long line = PyLong_AsLongLong(args[0]);
-    long long end_address = PyLong_AsLongLong(args[1]);
-    long long line_bytes = PyLong_AsLongLong(args[2]);
-    warm_tables t;
-    t.lb_lines = args[3];
-    t.lb_uses = args[4];
-    t.lb_clock = PyLong_AsLongLong(args[5]);
-    t.l1_tags = args[6];
-    t.l1_order = args[7];
-    t.l1_ways = PyLong_AsSsize_t(args[8]);
-    t.l1_shift = PyLong_AsLongLong(args[9]);
-    t.l1_set_mask = PyLong_AsLongLong(args[10]);
-    t.l1_seen = args[11];
-    t.l2_tags = args[12];
-    t.l2_order = args[13];
-    t.l2_ways = PyLong_AsSsize_t(args[14]);
-    t.l2_shift = PyLong_AsLongLong(args[15]);
-    t.l2_set_mask = PyLong_AsLongLong(args[16]);
-    t.l2_seen = args[17];
-    if (PyErr_Occurred()) {
-        return NULL;
-    }
-    if (!PyList_Check(t.lb_lines) || !PyList_Check(t.lb_uses) ||
-        !PyList_Check(t.l1_tags) || !PyList_Check(t.l1_order) ||
-        !PyList_Check(t.l2_tags) || !PyList_Check(t.l2_order) ||
-        !PySet_Check(t.l1_seen) || !PySet_Check(t.l2_seen)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "warm_lines table arguments must be lists/sets");
-        return NULL;
-    }
-    t.lb_n = PyList_GET_SIZE(t.lb_lines);
-
-    for (; line < end_address; line += line_bytes) {
-        if (warm_one_line(&t, line) < 0) {
-            return NULL;
-        }
-    }
-    return PyLong_FromLongLong(t.lb_clock);
-}
-
 /* warm_span(bstart, bend, line_bytes,
  *           starts, counts, kinds, keys, targets, takens,
  *           lb_lines, lb_uses, lb_clock,
@@ -383,9 +292,14 @@ kernels_warm_lines(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
  *           b_tags, b_targets, b_mask, b_shift,
  *           t_map, t_seen, t_clock, t_shift, t_capacity)
  *   -> (lb_clock, g_history, t_clock)
- * Mirrors pylib.warm_span statement for statement: the whole encoded
- * span — iTLB + lb/L1/L2 per line, gshare/loop/BTB per block — in one
- * call. t_map may be None (no iTLB). */
+ * Mirrors BatchedWarmer._walk_span_py statement for statement for a
+ * core with an LRU L1I and a stock gshare: blocks [bstart, bend) of one
+ * thread's flat span encoding (starts/counts give each block's first
+ * line address and line count; kinds/keys/targets/takens its
+ * terminating branch — kind 0 trains nothing, 1 is conditional, 2 is
+ * indirect) walk the iTLB, line buffers, L1I and L2 per line, then the
+ * gshare, loop-predictor and BTB updates per block, in one call. All
+ * tables are mutated in place. t_map may be None (no iTLB). */
 static PyObject *
 kernels_warm_span(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -557,10 +471,24 @@ kernels_warm_span(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* replay_walk(mode, credit, ipc, iq, count, space_limit)
- * Mirrors pylib.replay_walk: the CommitEngine's deterministic float
- * credit trajectory, one call per planning/settlement walk. Modes 0-2
- * return an int; mode 3 returns
- * (committed, base_cycles, last_commit, iq, credit, stalled). */
+ * The CommitEngine's deterministic float credit trajectory — repeated
+ * `credit += ipc` additions with truncating commits, rounded exactly
+ * like the stepped engine — one call per planning/settlement walk.
+ * Each mode mirrors one CommitEngine method's inline loop:
+ *   0 REPLAY_NEXT (cycles_to_next_commit): the first cycle the credit
+ *     crosses 1.0, or 0 when none lands within count cycles;
+ *   1 REPLAY_HORIZON (replay_horizon): one cycle past the commit that
+ *     drains the queue or leaves iq <= space_limit, else count
+ *     (space_limit -1: no space gate);
+ *   2 REPLAY_DRAIN (drain_horizon): the exact cycle the queue empties,
+ *     or 0 when it does not drain within count cycles;
+ *   3 REPLAY_STEPS (replay_steps): settle count commit/pacing cycles
+ *     and return (committed, base_cycles, last_commit, iq, credit,
+ *     stalled); last_commit is the 1-based offset of the last
+ *     committing cycle (0 for pure pacing), and a stalled walk stops on
+ *     the stall cycle with its credit addition applied and no base
+ *     cycle charged.
+ * Nothing is mutated; the caller applies mode 3's returned state. */
 static PyObject *
 kernels_replay_walk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -660,12 +588,6 @@ kernels_replay_walk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyMethodDef kernels_methods[] = {
-    {"find_way", (PyCFunction)kernels_find_way, METH_FASTCALL,
-     "First index of target in row, or -1."},
-    {"btb_probe", (PyCFunction)kernels_btb_probe, METH_FASTCALL,
-     "Tagged BTB probe; returns the target or None."},
-    {"warm_lines", (PyCFunction)kernels_warm_lines, METH_FASTCALL,
-     "Warm one basic block's lines through lb/L1/L2."},
     {"warm_span", (PyCFunction)kernels_warm_span, METH_FASTCALL,
      "Warm a whole encoded span: iTLB + lb/L1/L2 + branch structures."},
     {"replay_walk", (PyCFunction)kernels_replay_walk, METH_FASTCALL,
@@ -676,7 +598,7 @@ static PyMethodDef kernels_methods[] = {
 static struct PyModuleDef kernels_module = {
     PyModuleDef_HEAD_INIT,
     "_native",
-    "Compiled hot-structure kernels (see repro.kernels.pylib).",
+    "Compiled hot-loop kernels: warm_span and replay_walk (see repro.kernels).",
     -1,
     kernels_methods,
 };

@@ -9,9 +9,9 @@ is the whole build.
 
 ``python -m repro.kernels.build --check`` reports the selected backend,
 the compiler the build would use, and whether the built extension is
-stale (older than ``_native.c``, missing entry points the current
-spec exports, or reporting an older interface version) — the first stop when a run is unexpectedly on the
-pure-Python backend.
+stale (older than ``_native.c``, or reporting an interface version
+other than :data:`repro.kernels.ABI`) — the first stop when a run is
+unexpectedly on the pure-Python backend.
 """
 
 from __future__ import annotations
@@ -83,15 +83,12 @@ def build(
 
 
 def staleness(out_dir: pathlib.Path | None = None) -> str | None:
-    """Why the built extension cannot serve the current spec, or None.
+    """Why the built extension cannot serve the current source, or None.
 
     Returns a human-readable reason — missing, older than ``_native.c``,
-    missing entry points the spec exports, or an older ``ABI`` — or
-    ``None`` when the
-    build is present and current.
+    or reporting a different ``ABI`` — or ``None`` when the build is
+    present and current.
     """
-    from repro.kernels import pylib
-
     source = pathlib.Path(__file__).with_name("_native.c")
     target = extension_path(out_dir)
     if not target.exists():
@@ -102,13 +99,6 @@ def staleness(out_dir: pathlib.Path | None = None) -> str | None:
         import repro.kernels._native as native
     except ImportError as error:
         return f"{target.name} does not import: {error}"
-    missing = [
-        name
-        for name in pylib.__all__
-        if not name.startswith("REPLAY") and not hasattr(native, name)
-    ]
-    if missing:
-        return f"{target.name} lacks entry points: {', '.join(missing)}"
     from repro.kernels import ABI
 
     if getattr(native, "ABI", None) != ABI:

@@ -26,6 +26,12 @@ references to its structures and re-reading the inner tables each span,
 so a ``restore_warm_state`` — which adopts new storage — never leaves
 the warmer stale), which keeps capture/restore and every policy variant
 working without a parallel implementation.
+
+Warming has exactly three walks: the scalar ``_warm_interval``, which
+stays the oracle; :meth:`BatchedWarmer._walk_span_py`, the one Python
+batched walk; and the compiled ``warm_span`` (:mod:`repro.kernels`),
+which replaces ``_walk_span_py`` on cores whose structures match its
+fast path (:class:`_CoreShape`: LRU L1I, stock gshare).
 """
 
 from __future__ import annotations
@@ -42,18 +48,12 @@ from repro.trace.stream import TraceSet
 
 __all__ = ["BatchedWarmer"]
 
-#: Compiled per-block line walk (lb/L1/L2), or None on the pure-Python
-#: backend — the span walk below then keeps its original inline loop.
-#: Only engaged for LRU L1s; the walk itself requires an LRU L2, which
-#: the instruction-side hierarchy always uses.
-_native_warm = kernels.warm_lines if kernels.NATIVE else None
-
 #: Compiled whole-span walk (iTLB + lb/L1/L2 + branch structures in one
 #: call over the flat span encoding), or None on the pure-Python
 #: backend. Engaged per core when the structures match the kernel's
-#: fast path exactly (LRU L1, stock gshare); other cores fall back to
-#: the per-block walk below.
-_native_span = kernels.warm_span if kernels.NATIVE else None
+#: fast path exactly (LRU L1, stock gshare); other cores take
+#: ``_walk_span_py``.
+_native_span = kernels.warm_span
 
 _CONDITIONAL = BranchKind.CONDITIONAL
 _INDIRECT = BranchKind.INDIRECT
@@ -175,8 +175,8 @@ class BatchedWarmer:
         self._contexts = []
         #: Per-core :class:`_CoreShape`, or None when the core's
         #: structures do not match the compiled span walk (non-LRU L1,
-        #: subclassed direction predictor) and must take the per-block
-        #: fallback.
+        #: subclassed direction predictor) and must take
+        #: ``_walk_span_py``.
         self._shapes = []
         #: Per-core :class:`_SpanEncoding` cache, built lazily on the
         #: first compiled span walk and rebuilt when the thread's
@@ -193,7 +193,7 @@ class BatchedWarmer:
                 (frontend.line_buffers, predictor, itlb, l1, l2)
             )
             direction = predictor.direction
-            # Strict type checks, like the inline fallback below: a
+            # Strict type checks, like _walk_span_py's own: a
             # subclass overriding update() must take the method-call
             # path to keep bit-identity with the scalar walk.
             if (
@@ -354,6 +354,8 @@ class BatchedWarmer:
         return bend - bstart
 
     def _walk_span_py(self, context, records, start, end) -> int:
+        """Warm one span in Python: the walk ``warm_span`` must match,
+        and the only one for cores without a :class:`_CoreShape`."""
         buffers, predictor, itlb, l1, l2 = context
         line_bytes = self._line_bytes
         line_mask = -line_bytes  # ~(line_bytes - 1) for powers of two
@@ -417,12 +419,6 @@ class BatchedWarmer:
         l2_seen = l2.stats._seen_lines
         l2_ways = l2.ways
 
-        # Compiled fast path: the lb/L1/L2 line walk of each block runs
-        # in one native call. The iTLB walk (independent clocks and
-        # tables, so per-structure ordering is preserved) and the branch
-        # updates stay in this loop either way.
-        native_warm = _native_warm if l1_lru else None
-
         blocks = 0
         for record in records[start:end]:
             if type(record) is not BasicBlockRecord:
@@ -430,41 +426,6 @@ class BatchedWarmer:
             blocks += 1
             line = record.address & line_mask
             end_address = record.end_address
-            if native_warm is not None:
-                if have_itlb:
-                    while line < end_address:
-                        page = line >> t_shift
-                        t_clock += 1
-                        if page in t_map:
-                            t_map[page] = t_clock
-                        else:
-                            t_seen.add(page)
-                            if len(t_map) >= t_capacity:
-                                del t_map[min(t_map, key=t_map_get)]
-                            t_map[page] = t_clock
-                        line += line_bytes
-                    line = record.address & line_mask
-                lb_clock = native_warm(
-                    line,
-                    end_address,
-                    line_bytes,
-                    lb_lines,
-                    lb_uses,
-                    lb_clock,
-                    l1_tags,
-                    l1_order,
-                    l1_ways,
-                    l1_shift,
-                    l1_set_mask,
-                    l1_seen,
-                    l2_tags,
-                    l2_order,
-                    l2_ways,
-                    l2_shift,
-                    l2_set_mask,
-                    l2_seen,
-                )
-                line = end_address
             while line < end_address:
                 if have_itlb:
                     page = line >> t_shift

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.acmp import baseline_config, result_to_dict, worker_shared_config
+from repro.acmp import baseline_config, worker_shared_config
 from repro.campaign import (
     Campaign,
     ResultStore,
@@ -20,6 +20,7 @@ from repro.campaign.spec import shard_specs
 from repro.campaign.store import merge_stores
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.common import ExperimentContext
+from repro.machine import result_to_dict
 from repro.scmp import private_config
 
 

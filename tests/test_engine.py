@@ -9,14 +9,13 @@ import pytest
 
 from repro.acmp import (
     baseline_config,
-    result_to_dict,
     simulate,
     worker_shared_config,
 )
-from repro.acmp.simulator import AcmpSimulator
 from repro.acmp.system import AcmpSystem
 from repro.engine import NEVER, Clock, EventQueue, SimulationKernel
 from repro.errors import DeadlockError, SimulationError
+from repro.machine import SystemSimulator, result_to_dict
 from repro.trace.records import (
     BasicBlockRecord,
     IpcRecord,
@@ -263,7 +262,7 @@ class TestCycleSkipEquivalence:
         traces = synthesize_benchmark("CoMD", thread_count=9, scale=0.05, seed=0)
         system = AcmpSystem(baseline_config(), traces)
         system.warm_instruction_l2s()
-        simulator = AcmpSimulator(system, cycle_skip=True)
+        simulator = SystemSimulator(system, cycle_skip=True)
         simulator.run()
         stats = simulator.kernel.stats
         assert stats.skips > 0
@@ -274,7 +273,7 @@ class TestCycleSkipEquivalence:
         traces = synthesize_benchmark("CG", thread_count=9, scale=0.02, seed=0)
         system = AcmpSystem(baseline_config(), traces)
         system.warm_instruction_l2s()
-        simulator = AcmpSimulator(system, cycle_skip=False)
+        simulator = SystemSimulator(system, cycle_skip=False)
         simulator.run()
         assert simulator.kernel.stats.cycles_skipped == 0
 

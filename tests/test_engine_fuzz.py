@@ -23,9 +23,9 @@ import random
 
 import pytest
 
-from repro.acmp import AcmpConfig, result_to_dict
+from repro.acmp import AcmpConfig
 from repro.errors import DeadlockError
-from repro.machine import simulate
+from repro.machine import result_to_dict, simulate
 from repro.scmp import ScmpConfig
 from repro.trace.records import (
     BasicBlockRecord,

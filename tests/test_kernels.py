@@ -1,16 +1,22 @@
-"""Kernel backend tests: pylib semantics, compiled equivalence, selection.
+"""Kernel backend tests: compiled equivalence, routing, selection.
 
-``repro.kernels.pylib`` is the specification; the compiled backend must
-be bit-identical on every operation, including tie-breaks and seen-set
-insertion order. The equivalence classes here run both backends over the
-same randomized operation streams and compare final table states. When
-the extension is not already loaded, the fixture builds it into a temp
-directory (skipping if the host has no C compiler), so the pure-Python
-CI leg still exercises everything except the native code itself.
+Each compiled entry point replaces one consumer's inline Python loop
+and must be bit-identical to it, including tie-breaks, seen-set and
+dict insertion order and float rounding:
 
-The routing classes cover the *consumer* side with no compiler at all:
-each hot structure's kernel-call path is forced on (bound to ``pylib``)
-and compared against its original inline loop.
+* ``warm_span`` against ``BatchedWarmer._walk_span_py`` — compared
+  through the warmer itself, on real sliced traces with deliberately
+  small structures;
+* ``replay_walk`` against the four ``CommitEngine`` walks — compared
+  through the engine's methods.
+
+Every comparison runs the consumer twice, once with its module-level
+binding set to the ``native`` fixture's function and once set to
+``None`` (the inline path). The fixture uses the loaded extension, or
+builds one into a temp directory, and skips only on a host with no C
+compiler. Behind the inline paths stand the two oracles, tested
+elsewhere: the scalar warming walk (``tests/test_sampling*.py``) and the
+stepped engine (``tests/test_scheduler_equivalence.py``).
 """
 
 import importlib
@@ -21,28 +27,6 @@ import sys
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.kernels import pylib
-
-# -- pylib semantics --------------------------------------------------------
-
-
-class TestPylib:
-    def test_find_way(self):
-        row = [None, 0x40, 0x80, 0x40]
-        assert pylib.find_way(row, 0x40) == 1  # first match wins
-        assert pylib.find_way(row, None) == 0
-        assert pylib.find_way(row, 0xC0) == -1
-        assert pylib.find_way([], 0x40) == -1
-
-    def test_btb_probe(self):
-        tags = [-1, 0x104]
-        targets = [0, 0x9000]
-        assert pylib.btb_probe(tags, targets, 1, 0x104) == 0x9000
-        assert pylib.btb_probe(tags, targets, 1, 0x204) is None
-        assert pylib.btb_probe(tags, targets, 0, -1) == 0  # tag match
-
-
-# -- compiled backend equivalence ------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -65,124 +49,15 @@ def native(tmp_path_factory):
     return module
 
 
-def _random_warm_tables(rng):
-    """One randomized warm-structure state for a warm_lines trial."""
-    l1_sets, l1_ways = 8, 4
-    l2_sets, l2_ways = 16, 8
-    line = lambda: rng.randrange(1 << 10) * 64  # noqa: E731
-    l1_tags = [
-        [line() if rng.random() < 0.5 else None for _ in range(l1_ways)]
-        for _ in range(l1_sets)
-    ]
-    l1_order = [
-        rng.sample(range(l1_ways), l1_ways) if rng.random() < 0.5 else None
-        for _ in range(l1_sets)
-    ]
-    l2_tags = [
-        [line() if rng.random() < 0.3 else None for _ in range(l2_ways)]
-        for _ in range(l2_sets)
-    ]
-    l2_order = [
-        rng.sample(range(l2_ways), l2_ways) if rng.random() < 0.5 else None
-        for _ in range(l2_sets)
-    ]
-    state = {
-        "lb_lines": [line() for _ in range(4)],
-        "lb_uses": [rng.randrange(64) for _ in range(4)],
-        "lb_clock": rng.randrange(64, 128),
-        "l1_tags": l1_tags,
-        "l1_order": l1_order,
-        "l1_seen": set(rng.sample(range(0, 1 << 16, 64), 20)),
-        "l2_tags": l2_tags,
-        "l2_order": l2_order,
-        "l2_seen": set(rng.sample(range(0, 1 << 16, 64), 20)),
-    }
-    start = rng.randrange(1 << 10) * 64
-    end = start + rng.randrange(1, 40) * 64
-    return state, (l1_ways, l2_ways), (start, end)
-
-
 class TestCompiledEquivalence:
     def test_reports_current_abi(self, native):
         from repro import kernels
 
         assert native.ABI == kernels.ABI
 
-    def test_find_way(self, native):
-        rng = random.Random(21)
-        for _ in range(300):
-            ways = rng.randrange(1, 9)
-            row = [
-                rng.randrange(16) * 64 if rng.random() < 0.7 else None
-                for _ in range(ways)
-            ]
-            target = (
-                None if rng.random() < 0.3 else rng.randrange(16) * 64
-            )
-            assert native.find_way(row, target) == pylib.find_way(
-                row, target
-            ), (row, target)
-
-    def test_btb_probe(self, native):
-        rng = random.Random(23)
-        entries = 64
-        tags = [
-            rng.randrange(1 << 16) if rng.random() < 0.5 else -1
-            for _ in range(entries)
-        ]
-        targets = [rng.randrange(1 << 16) for _ in range(entries)]
-        for _ in range(2000):
-            index = rng.randrange(entries)
-            address = (
-                tags[index] if rng.random() < 0.5 else rng.randrange(1 << 16)
-            )
-            assert native.btb_probe(
-                tags, targets, index, address
-            ) == pylib.btb_probe(tags, targets, index, address)
-
-    def test_warm_lines(self, native):
-        for trial in range(30):
-            # Both states are drawn from identically-seeded generators:
-            # a deepcopy would rebuild the seen-sets in iteration order
-            # and silently perturb their internal layout.
-            seed = 2400 + trial
-            state, (l1_ways, l2_ways), span = _random_warm_tables(
-                random.Random(seed)
-            )
-            mirror, _, _ = _random_warm_tables(random.Random(seed))
-            args = (span[0], span[1], 64)
-            shape = (l1_ways, 0, 7, l2_ways, 0, 15)
-
-            def run(impl, s):
-                return impl(
-                    *args,
-                    s["lb_lines"],
-                    s["lb_uses"],
-                    s["lb_clock"],
-                    s["l1_tags"],
-                    s["l1_order"],
-                    shape[0],
-                    shape[1],
-                    shape[2],
-                    s["l1_seen"],
-                    s["l2_tags"],
-                    s["l2_order"],
-                    shape[3],
-                    shape[4],
-                    shape[5],
-                    s["l2_seen"],
-                )
-
-            clock_native = run(native.warm_lines, state)
-            clock_py = run(pylib.warm_lines, mirror)
-            assert clock_native == clock_py, f"trial {trial}"
-            for field in ("lb_lines", "lb_uses", "l1_tags", "l1_order",
-                          "l2_tags", "l2_order"):
-                assert state[field] == mirror[field], (trial, field)
-            # Seen-sets must match including insertion order (identical
-            # insertion sequences yield identical iteration order).
-            assert list(state["l1_seen"]) == list(mirror["l1_seen"]), trial
-            assert list(state["l2_seen"]) == list(mirror["l2_seen"]), trial
+    def test_exports_only_the_two_entry_points(self, native):
+        public = {name for name in dir(native) if not name.startswith("_")}
+        assert public == {"ABI", "warm_span", "replay_walk"}
 
 
 # -- backend selection ------------------------------------------------------
@@ -226,7 +101,8 @@ class TestBackendSelection:
         module = _fresh_kernels(monkeypatch, "py")
         assert module.NATIVE is False
         assert module.backend_name() == "py"
-        assert module.find_way is module.pylib.find_way
+        assert module.warm_span is None
+        assert module.replay_walk is None
 
     def test_invalid_value_rejected(self, monkeypatch):
         with pytest.raises(ConfigurationError, match="REPRO_KERNELS"):
@@ -242,115 +118,7 @@ class TestBackendSelection:
         assert module.backend_name() == "py"
 
 
-# -- consumer routing (works with no compiler: kernel path = pylib) ---------
-
-
-class TestConsumerRouting:
-    def test_set_assoc_kernel_path_matches_inline(self, monkeypatch):
-        from repro.cache import set_assoc
-
-        def build():
-            return set_assoc.SetAssociativeCache(
-                size_bytes=4096, ways=4, line_bytes=64
-            )
-
-        rng = random.Random(31)
-        stream = [rng.randrange(1 << 14) * 4 for _ in range(4000)]
-
-        monkeypatch.setattr(set_assoc, "_native_find_way", None)
-        inline = build()
-        for address in stream:
-            inline.access(address)
-
-        monkeypatch.setattr(
-            set_assoc, "_native_find_way", pylib.find_way
-        )
-        routed = build()
-        for address in stream:
-            routed.access(address)
-
-        assert routed._tags == inline._tags
-        assert routed._policy._order == inline._policy._order
-        assert routed.stats.hits == inline.stats.hits
-        assert routed.stats.misses == inline.stats.misses
-
-    def test_btb_kernel_path_matches_inline(self, monkeypatch):
-        from repro.branch import btb as btb_module
-
-        rng = random.Random(33)
-        stream = [
-            (rng.randrange(1 << 12) * 4, rng.randrange(1 << 16))
-            for _ in range(3000)
-        ]
-
-        monkeypatch.setattr(btb_module, "_native_probe", None)
-        inline = btb_module.BranchTargetBuffer(entries=256)
-        inline_correct = [
-            inline.predict_and_update(a, t) for a, t in stream
-        ]
-
-        monkeypatch.setattr(btb_module, "_native_probe", pylib.btb_probe)
-        routed = btb_module.BranchTargetBuffer(entries=256)
-        routed_correct = [
-            routed.predict_and_update(a, t) for a, t in stream
-        ]
-
-        assert routed_correct == inline_correct
-        assert routed._tags == inline._tags
-        assert routed._targets == inline._targets
-        assert routed.stats == inline.stats
-
-    def test_warmer_kernel_path_matches_inline(self, monkeypatch):
-        from repro.machine.model import get_model
-        from repro.sampling import BatchedWarmer, SamplingPlan
-        from repro.sampling import warmer as warmer_module
-        from repro.sampling.slicer import IntervalKind, slice_traces
-        from repro.trace.synthesis import synthesize_benchmark
-
-        model = get_model("acmp")
-        config = model.shared_config(itlb_enabled=True)
-        traces = synthesize_benchmark(
-            "UA", thread_count=config.core_count, scale=0.2
-        )
-        plan = SamplingPlan(
-            detail_instructions=2_000,
-            skip_instructions=6_000,
-            warmup_instructions=6_000,
-        )
-        intervals = [
-            interval
-            for interval in slice_traces(traces, plan)
-            if interval.kind is not IntervalKind.SKIP
-        ]
-        assert intervals, "probe trace too small to slice"
-
-        # Pin the whole-span kernel off: this test isolates the
-        # per-block warm_lines routing.
-        monkeypatch.setattr(warmer_module, "_native_span", None)
-        monkeypatch.setattr(warmer_module, "_native_warm", None)
-        inline_system = model.build_system(config, traces)
-        inline_warmer = BatchedWarmer(inline_system, traces)
-        inline_blocks = sum(
-            inline_warmer.warm_interval(i) for i in intervals
-        )
-
-        monkeypatch.setattr(
-            warmer_module, "_native_warm", pylib.warm_lines
-        )
-        routed_system = model.build_system(config, traces)
-        routed_warmer = BatchedWarmer(routed_system, traces)
-        routed_blocks = sum(
-            routed_warmer.warm_interval(i) for i in intervals
-        )
-
-        assert routed_blocks == inline_blocks > 0
-        assert (
-            routed_system.capture_warm_state().to_dict()
-            == inline_system.capture_warm_state().to_dict()
-        )
-
-
-# -- whole-span warming kernel ----------------------------------------------
+# -- warm_span: BatchedWarmer routing ----------------------------------------
 
 
 def _sampled_warm_setup(scale=0.2, **config_overrides):
@@ -379,73 +147,68 @@ def _sampled_warm_setup(scale=0.2, **config_overrides):
     return model, config, traces, intervals
 
 
+def _warm_with(monkeypatch, span_impl, model, config, traces, intervals):
+    """Warm every interval with ``_native_span`` bound to ``span_impl``;
+    returns the warmer (its ``system`` holds the warm state) and the
+    blocks walked."""
+    from repro.sampling import BatchedWarmer
+    from repro.sampling import warmer as warmer_module
+
+    monkeypatch.setattr(warmer_module, "_native_span", span_impl)
+    system = model.build_system(config, traces)
+    warmer = BatchedWarmer(system, traces)
+    blocks = sum(warmer.warm_interval(i) for i in intervals)
+    return warmer, blocks
+
+
+def _insertion_orders(system):
+    """Iteration order of every live set and dict warming fills in:
+    ``to_dict()`` sorts the sets, and dict equality ignores order."""
+    orders = []
+    for hardware in system.group_hardware:
+        for cache in (hardware.cache, hardware.hierarchy.l2):
+            orders.append(list(cache.stats._seen_lines))
+    for core in system.cores:
+        itlb = core.frontend.itlb
+        if itlb is not None:
+            orders.append(list(itlb._seen_pages))
+            orders.append(list(itlb._translations.items()))
+    return orders
+
+
 class TestWarmerSpanRouting:
-    def test_span_path_matches_inline(self, monkeypatch):
-        from repro.sampling import BatchedWarmer
-        from repro.sampling import warmer as warmer_module
-
-        model, config, traces, intervals = _sampled_warm_setup()
-
-        monkeypatch.setattr(warmer_module, "_native_span", None)
-        monkeypatch.setattr(warmer_module, "_native_warm", None)
-        inline_system = model.build_system(config, traces)
-        inline_blocks = sum(
-            BatchedWarmer(inline_system, traces).warm_interval(i)
-            for i in intervals
+    def test_span_path_matches_inline(self, native, monkeypatch):
+        setup = _sampled_warm_setup()
+        inline, inline_blocks = _warm_with(monkeypatch, None, *setup)
+        routed, routed_blocks = _warm_with(
+            monkeypatch, native.warm_span, *setup
         )
-
-        monkeypatch.setattr(
-            warmer_module, "_native_span", pylib.warm_span
-        )
-        routed_system = model.build_system(config, traces)
-        routed_warmer = BatchedWarmer(routed_system, traces)
-        assert all(shape is not None for shape in routed_warmer._shapes)
-        routed_blocks = sum(
-            routed_warmer.warm_interval(i) for i in intervals
-        )
-
+        assert all(shape is not None for shape in routed._shapes)
         assert routed_blocks == inline_blocks > 0
         assert (
-            routed_system.capture_warm_state().to_dict()
-            == inline_system.capture_warm_state().to_dict()
+            routed.system.capture_warm_state().to_dict()
+            == inline.system.capture_warm_state().to_dict()
+        )
+        assert _insertion_orders(routed.system) == _insertion_orders(
+            inline.system
         )
 
     def test_non_lru_l1_takes_fallback(self, monkeypatch):
-        from repro.sampling import BatchedWarmer
-        from repro.sampling import warmer as warmer_module
-
-        model, config, traces, intervals = _sampled_warm_setup(
-            icache_policy="plru"
-        )
+        setup = _sampled_warm_setup(icache_policy="plru")
 
         def forbidden(*args):
-            raise AssertionError(
-                "span kernel engaged for a non-LRU L1"
-            )
+            raise AssertionError("span kernel engaged for a non-LRU L1")
 
-        monkeypatch.setattr(warmer_module, "_native_span", forbidden)
-        monkeypatch.setattr(warmer_module, "_native_warm", None)
-        routed_system = model.build_system(config, traces)
-        routed_warmer = BatchedWarmer(routed_system, traces)
-        assert all(shape is None for shape in routed_warmer._shapes)
-        routed_blocks = sum(
-            routed_warmer.warm_interval(i) for i in intervals
-        )
-
-        monkeypatch.setattr(warmer_module, "_native_span", None)
-        inline_system = model.build_system(config, traces)
-        inline_blocks = sum(
-            BatchedWarmer(inline_system, traces).warm_interval(i)
-            for i in intervals
-        )
-
+        routed, routed_blocks = _warm_with(monkeypatch, forbidden, *setup)
+        assert all(shape is None for shape in routed._shapes)
+        inline, inline_blocks = _warm_with(monkeypatch, None, *setup)
         assert routed_blocks == inline_blocks > 0
         assert (
-            routed_system.capture_warm_state().to_dict()
-            == inline_system.capture_warm_state().to_dict()
+            routed.system.capture_warm_state().to_dict()
+            == inline.system.capture_warm_state().to_dict()
         )
 
-    def test_span_path_safe_after_restore(self, monkeypatch):
+    def test_span_path_safe_after_restore(self, native, monkeypatch):
         """Restores adopt snapshot storage; the span walk must re-read
         the inner tables and keep warming the adopted ones."""
         from repro.sampling import BatchedWarmer
@@ -456,7 +219,6 @@ class TestWarmerSpanRouting:
 
         def round_trip(span_impl):
             monkeypatch.setattr(warmer_module, "_native_span", span_impl)
-            monkeypatch.setattr(warmer_module, "_native_warm", None)
             first = model.build_system(config, traces)
             BatchedWarmer(first, traces).warm_interval(intervals[0])
             snapshot = first.capture_warm_state()
@@ -466,7 +228,7 @@ class TestWarmerSpanRouting:
             warmer.warm_interval(intervals[1])
             return second.capture_warm_state().to_dict()
 
-        assert round_trip(pylib.warm_span) == round_trip(None)
+        assert round_trip(native.warm_span) == round_trip(None)
 
     def test_span_encoding_cache_invalidation(self):
         from repro.sampling import BatchedWarmer
@@ -489,7 +251,7 @@ class TestWarmerSpanRouting:
         assert regrown.length == rebuilt.length + 1
 
 
-# -- replay_walk: spec, consumer routing, compiled equivalence ---------------
+# -- replay_walk: CommitEngine routing ---------------------------------------
 
 
 def _random_engine(rng):
@@ -505,9 +267,12 @@ def _random_engine(rng):
 
 
 class TestReplayWalkSpec:
-    """pylib.replay_walk against the stepped CommitEngine loops."""
+    """The raw ``replay_walk`` kernel, called directly with its packed
+    arguments, against the stepped CommitEngine loops: pins its return
+    conventions (0 for "no such cycle", the six-field steps tuple)."""
 
-    def test_planning_modes_match_inline_walks(self, monkeypatch):
+    def test_planning_modes_match_inline_walks(self, native, monkeypatch):
+        from repro import kernels
         from repro.backend import backend as backend_module
 
         monkeypatch.setattr(backend_module, "_native_replay", None)
@@ -519,29 +284,30 @@ class TestReplayWalkSpec:
             credit, ipc = engine._credit, engine._ipc
             iq = engine._iq_count
 
-            next_commit = pylib.replay_walk(
-                pylib.REPLAY_NEXT, credit, ipc, iq, cap, -1
+            next_commit = native.replay_walk(
+                kernels.REPLAY_NEXT, credit, ipc, iq, cap, -1
             )
             assert engine.cycles_to_next_commit(cap) == (
                 (next_commit or None) if iq else None
             )
 
             space_limit = engine.iq_capacity - space if space else -1
-            horizon = pylib.replay_walk(
-                pylib.REPLAY_HORIZON, credit, ipc, iq, cap, space_limit
+            horizon = native.replay_walk(
+                kernels.REPLAY_HORIZON, credit, ipc, iq, cap, space_limit
             )
             assert engine.replay_horizon(space, cap) == (
                 horizon if iq else None
             )
 
-            drain = pylib.replay_walk(
-                pylib.REPLAY_DRAIN, credit, ipc, iq, cap, -1
+            drain = native.replay_walk(
+                kernels.REPLAY_DRAIN, credit, ipc, iq, cap, -1
             )
             assert engine.drain_horizon(cap) == (
                 (drain or None) if iq else None
             )
 
-    def test_steps_mode_matches_stepped_settlement(self, monkeypatch):
+    def test_steps_mode_matches_stepped_settlement(self, native, monkeypatch):
+        from repro import kernels
         from repro.backend import backend as backend_module
         from repro.errors import SimulationError
 
@@ -551,8 +317,8 @@ class TestReplayWalkSpec:
         for _ in range(400):
             engine = _random_engine(rng)
             cycles = rng.randrange(1, 60)
-            committed, base, last, iq, credit, stalled = pylib.replay_walk(
-                pylib.REPLAY_STEPS,
+            committed, base, last, iq, credit, stalled = native.replay_walk(
+                kernels.REPLAY_STEPS,
                 engine._credit,
                 engine._ipc,
                 engine._iq_count,
@@ -579,9 +345,9 @@ class TestReplayWalkSpec:
 
 
 class TestBackendReplayRouting:
-    """The CommitEngine kernel path (bound to pylib) vs its inline loops."""
+    """The CommitEngine kernel path (bound to native) vs its inline loops."""
 
-    def test_routed_walks_match_inline(self, monkeypatch):
+    def test_routed_walks_match_inline(self, native, monkeypatch):
         from repro.backend import backend as backend_module
 
         rng = random.Random(53)
@@ -614,7 +380,7 @@ class TestBackendReplayRouting:
             assert inline.replay_walk_engaged == 0
 
             monkeypatch.setattr(
-                backend_module, "_native_replay", pylib.replay_walk
+                backend_module, "_native_replay", native.replay_walk
             )
             routed = _random_engine(random.Random(seed))
             occupied = routed._iq_count > 0
@@ -622,7 +388,7 @@ class TestBackendReplayRouting:
             # An empty queue short-circuits before the kernel call.
             assert (routed.replay_walk_engaged > 0) == occupied
 
-    def test_routed_stall_matches_inline(self, monkeypatch):
+    def test_routed_stall_matches_inline(self, native, monkeypatch):
         from repro.backend import backend as backend_module
         from repro.errors import SimulationError
 
@@ -639,7 +405,7 @@ class TestBackendReplayRouting:
             inline.replay_steps(10)  # drains on cycle 2, stalls on 3
 
         monkeypatch.setattr(
-            backend_module, "_native_replay", pylib.replay_walk
+            backend_module, "_native_replay", native.replay_walk
         )
         routed = drained_engine()
         with pytest.raises(SimulationError, match="stall boundary"):
@@ -651,110 +417,195 @@ class TestBackendReplayRouting:
         assert routed.stats.base_cycles == inline.stats.base_cycles
 
 
-def _random_span_columns(rng, blocks):
-    """Flat span columns covering every branch kind and zero-line blocks."""
-    starts, counts, kinds, keys, targets, takens = [], [], [], [], [], []
-    for _ in range(blocks):
-        starts.append(rng.randrange(1 << 16) & -64)
-        counts.append(rng.randrange(0, 6))
-        kind = rng.choice([0, 1, 1, 1, 2])
-        kinds.append(kind)
-        keys.append(rng.randrange(1 << 16))
-        targets.append(rng.randrange(1 << 16))
-        takens.append(rng.randrange(2))
-    return starts, counts, kinds, keys, targets, takens
+# -- randomized trials, native vs inline --------------------------------------
 
 
-def _random_span_state(rng, have_itlb):
-    """One randomized full warm-structure state for a warm_span trial."""
-    l1_sets, l1_ways = 8, 2
-    l2_sets, l2_ways = 16, 4
-    return {
-        "lb_lines": [None] * 4,
-        "lb_uses": [0] * 4,
-        "lb_clock": rng.randrange(64),
-        "l1_tags": [[None] * l1_ways for _ in range(l1_sets)],
-        "l1_order": [None] * l1_sets,
-        "l1_ways": l1_ways,
-        "l1_shift": 6,
-        "l1_set_mask": l1_sets - 1,
-        "l1_seen": set(),
-        "l2_tags": [[None] * l2_ways for _ in range(l2_sets)],
-        "l2_order": [None] * l2_sets,
-        "l2_ways": l2_ways,
-        "l2_shift": 6,
-        "l2_set_mask": l2_sets - 1,
-        "l2_seen": set(),
-        "g_counters": bytearray(rng.randrange(4) for _ in range(64)),
-        "g_history": rng.randrange(64),
-        "g_mask": 63,
-        "g_shift": 2,
-        "lp_tags": [-1] * 16,
-        "lp_trips": [0] * 16,
-        "lp_currents": [0] * 16,
-        "lp_conf": [0] * 16,
-        "lp_mask": 15,
-        "lp_shift": 2,
-        "b_tags": [-1] * 32,
-        "b_targets": [0] * 32,
-        "b_mask": 31,
-        "b_shift": 2,
-        "t_map": {} if have_itlb else None,
-        "t_seen": set() if have_itlb else None,
-        "t_clock": rng.randrange(64),
-        "t_shift": 12,
-        "t_capacity": 4,
-    }
+def _with_indirect_branches(traces, rng, fraction=0.2):
+    """``traces`` with a random share of conditional branches turned
+    into taken indirect ones, so warming trains the BTB (synthesized
+    traces carry only conditional branches)."""
+    from repro.trace.records import (
+        BasicBlockRecord,
+        BranchKind,
+        BranchOutcome,
+    )
+    from repro.trace.stream import ThreadTrace, TraceSet
+
+    threads = []
+    for thread in traces.threads:
+        records = []
+        for record in thread.records:
+            if (
+                type(record) is BasicBlockRecord
+                and record.branch is not None
+                and rng.random() < fraction
+            ):
+                record = BasicBlockRecord(
+                    record.address,
+                    record.instruction_count,
+                    BranchOutcome(
+                        BranchKind.INDIRECT, True, rng.randrange(1 << 20) * 4
+                    ),
+                )
+            records.append(record)
+        threads.append(ThreadTrace(thread.thread_id, records))
+    return TraceSet(traces.benchmark, threads)
 
 
-_SPAN_ARG_ORDER = (
-    "lb_lines", "lb_uses", "lb_clock",
-    "l1_tags", "l1_order", "l1_ways", "l1_shift", "l1_set_mask", "l1_seen",
-    "l2_tags", "l2_order", "l2_ways", "l2_shift", "l2_set_mask", "l2_seen",
-    "g_counters", "g_history", "g_mask", "g_shift",
-    "lp_tags", "lp_trips", "lp_currents", "lp_conf", "lp_mask", "lp_shift",
-    "b_tags", "b_targets", "b_mask", "b_shift",
-    "t_map", "t_seen", "t_clock", "t_shift", "t_capacity",
-)
+def _overwrites(addresses, shift, mask):
+    """True when two distinct tags share one table index."""
+    tags_by_index = {}
+    for address in addresses:
+        tags_by_index.setdefault((address >> shift) & mask, set()).add(
+            address >> shift
+        )
+    return any(len(tags) > 1 for tags in tags_by_index.values())
 
 
 class TestCompiledSpanEquivalence:
-    def test_warm_span(self, native):
-        for trial in range(60):
-            rng = random.Random(6200 + trial)
-            columns = _random_span_columns(rng, rng.randrange(1, 40))
-            have_itlb = trial % 2 == 0
-            # Identically-seeded states, not deepcopies: a copy would
-            # rebuild seen-sets/dicts in iteration order and silently
-            # perturb their internal layout.
-            state = _random_span_state(random.Random(trial), have_itlb)
-            mirror = _random_span_state(random.Random(trial), have_itlb)
-            bend = len(columns[0])
-            bstart = rng.randrange(0, bend)
+    def test_warm_span(self, native, monkeypatch):
+        """BatchedWarmer with ``warm_span`` bound vs ``_walk_span_py``,
+        over several benchmarks, seeds and machine shapes. The caches,
+        iTLB and gshare are shrunk so that evictions, lazy LRU order
+        lists, iTLB evictions and loop/BTB overwrites all occur."""
+        from repro.machine.model import get_model
+        from repro.sampling import SamplingPlan
+        from repro.sampling.slicer import IntervalKind, slice_traces
+        from repro.trace.records import BasicBlockRecord, BranchKind
+        from repro.trace.synthesis import synthesize_benchmark
 
-            def run(impl, s):
-                return impl(
-                    bstart, bend, 64, *columns,
-                    *(s[name] for name in _SPAN_ARG_ORDER),
+        model = get_model("acmp")
+        small = {
+            "master_icache_bytes": 2048,
+            "l2_bytes": 4096,
+            "itlb_entries": 2,
+            "gshare_bytes": 256,
+        }
+        plan = SamplingPlan(
+            detail_instructions=2_000,
+            skip_instructions=6_000,
+            warmup_instructions=6_000,
+        )
+        seen = {"l1": 0, "l2": 0, "itlb": 0, "loop": 0, "btb": 0}
+        trials = [("UA", 0), ("CG", 1), ("CoMD", 2), ("BT", 3), ("SP", 4)]
+        for trial, (bench, seed) in enumerate(trials):
+            itlb = trial != 1  # one trial walks with no iTLB at all
+            if trial % 2:
+                config = model.baseline_config(
+                    itlb_enabled=itlb, worker_icache_bytes=2048, **small
                 )
+            else:
+                config = model.shared_config(
+                    icache_kb=2, itlb_enabled=itlb, **small
+                )
+            rng = random.Random(seed)
+            traces = _with_indirect_branches(
+                synthesize_benchmark(
+                    bench,
+                    thread_count=config.core_count,
+                    scale=0.2,
+                    seed=seed,
+                ),
+                rng,
+            )
+            intervals = [
+                interval
+                for interval in slice_traces(traces, plan)
+                if interval.kind is not IntervalKind.SKIP
+            ]
+            setup = (model, config, traces, intervals)
+            inline, inline_blocks = _warm_with(monkeypatch, None, *setup)
+            routed, routed_blocks = _warm_with(
+                monkeypatch, native.warm_span, *setup
+            )
+            assert routed_blocks == inline_blocks > 0, bench
+            assert (
+                routed.system.capture_warm_state().to_dict()
+                == inline.system.capture_warm_state().to_dict()
+            ), bench
+            assert _insertion_orders(routed.system) == _insertion_orders(
+                inline.system
+            ), bench
 
-            result_native = run(native.warm_span, state)
-            result_py = run(pylib.warm_span, mirror)
-            assert result_native == result_py, trial
-            for name in _SPAN_ARG_ORDER:
-                value, expected = state[name], mirror[name]
-                if isinstance(value, set):
-                    # Insertion order must match, not just membership.
-                    assert list(value) == list(expected), (trial, name)
-                elif isinstance(value, dict):
-                    assert list(value.items()) == list(expected.items()), (
-                        trial, name,
+            for hardware in inline.system.group_hardware:
+                l1, l2 = hardware.cache, hardware.hierarchy.l2
+                seen["l1"] += len(l1.stats._seen_lines) > l1.set_count * l1.ways
+                seen["l2"] += len(l2.stats._seen_lines) > l2.set_count * l2.ways
+            for core in inline.system.cores:
+                frontend = core.frontend
+                if frontend.itlb is not None:
+                    seen["itlb"] += (
+                        len(frontend.itlb._seen_pages) > frontend.itlb.entries
                     )
-                else:
-                    assert value == expected, (trial, name)
+                predictor = frontend.predictor
+                records = traces.threads[core.core_id].records
+                blocks = [
+                    record
+                    for interval in intervals
+                    for record in records[slice(*interval.spans[core.core_id])]
+                    if type(record) is BasicBlockRecord
+                    and record.branch is not None
+                ]
+                loop, btb = predictor.loop, predictor.btb
+                seen["loop"] += _overwrites(
+                    [
+                        b.branch_address
+                        for b in blocks
+                        if b.branch.kind is BranchKind.CONDITIONAL
+                    ],
+                    loop._index_shift,
+                    loop._mask,
+                )
+                seen["btb"] += _overwrites(
+                    [
+                        b.branch_address
+                        for b in blocks
+                        if b.branch.kind is BranchKind.INDIRECT
+                    ],
+                    btb._index_shift,
+                    btb._mask,
+                )
+        assert all(seen.values()), seen
 
-    def test_replay_walk(self, native):
+    def test_replay_walk(self, native, monkeypatch):
+        """Every CommitEngine walk, native-bound vs inline, over random
+        credit trajectories; the float credit must match bit for bit."""
+        from repro import kernels
+        from repro.backend import backend as backend_module
+        from repro.errors import SimulationError
+
+        capacity = 80
+
+        def run(binding, mode, credit, ipc, iq, count, space_limit):
+            monkeypatch.setattr(backend_module, "_native_replay", binding)
+            engine = backend_module.CommitEngine(iq_capacity=capacity)
+            engine._credit = credit
+            engine._ipc = ipc
+            engine._iq_count = iq
+            if mode == kernels.REPLAY_NEXT:
+                result = engine.cycles_to_next_commit(count)
+            elif mode == kernels.REPLAY_HORIZON:
+                space = capacity - space_limit if space_limit >= 0 else 0
+                result = engine.replay_horizon(space, count)
+            elif mode == kernels.REPLAY_DRAIN:
+                result = engine.drain_horizon(count)
+            else:
+                try:
+                    result = engine.replay_steps(count)
+                except SimulationError:
+                    result = "stall"
+            state = (
+                result,
+                engine._iq_count,
+                # Float credit must match bit for bit, not just ==.
+                repr(engine._credit),
+                engine.stats.committed,
+                engine.stats.base_cycles,
+            )
+            return state, engine.replay_walk_engaged
+
         rng = random.Random(63)
+        stalls = 0
         for trial in range(4000):
             mode = rng.randrange(4)
             credit = rng.uniform(0.0, 1.5)
@@ -764,26 +615,28 @@ class TestCompiledSpanEquivalence:
             iq = rng.randrange(0, 80)
             count = rng.randrange(0, 300)
             space_limit = rng.choice([-1, rng.randrange(0, 80)])
-            result_py = pylib.replay_walk(
-                mode, credit, ipc, iq, count, space_limit
-            )
-            result_native = native.replay_walk(
-                mode, credit, ipc, iq, count, space_limit
-            )
-            assert result_py == result_native, (trial, mode)
-            if mode == pylib.REPLAY_STEPS:
-                # Float credit must match bit for bit, not just ==.
-                assert repr(result_py[4]) == repr(result_native[4]), trial
+            args = (mode, credit, ipc, iq, count, space_limit)
+            inline, inline_engaged = run(None, *args)
+            routed, routed_engaged = run(native.replay_walk, *args)
+            assert routed == inline, (trial, args)
+            assert inline_engaged == 0
+            # Planning walks short-circuit on an empty queue.
+            assert routed_engaged == (
+                1 if iq or mode == kernels.REPLAY_STEPS else 0
+            ), (trial, args)
+            stalls += inline[0] == "stall"
+        assert stalls > 0, "trial mix never crossed a stall boundary"
 
 
-# -- build CLI ---------------------------------------------------------------
+# -- stale extension -----------------------------------------------------------
 
 
 def _fresh_kernels_with_stale_native(monkeypatch, value, abi=None):
     """Re-import repro.kernels against a fake native module built from
-    older source, restoring real bindings afterwards. By default it
-    carries only the earliest entry points and no ``ABI``; with ``abi``
-    it carries every current entry point but reports that version."""
+    older source, restoring real bindings afterwards. The fake carries
+    both entry points as plain stubs; by default it reports no ``ABI``
+    (a build older than the interface version), with ``abi`` that
+    version."""
     import types
 
     if value is None:
@@ -795,13 +648,14 @@ def _fresh_kernels_with_stale_native(monkeypatch, value, abi=None):
         for name in list(sys.modules)
         if name == "repro.kernels" or name.startswith("repro.kernels.")
     }
+
+    def stub(*args):
+        raise AssertionError("a stale extension's entry point was called")
+
     stale = types.ModuleType("repro.kernels._native")
-    stale.find_way = pylib.find_way
-    stale.btb_probe = pylib.btb_probe
-    stale.warm_lines = pylib.warm_lines  # no warm_span / replay_walk
+    stale.warm_span = stub
+    stale.replay_walk = stub
     if abi is not None:
-        stale.warm_span = pylib.warm_span
-        stale.replay_walk = pylib.replay_walk
         stale.ABI = abi
     sys.modules["repro.kernels._native"] = stale
     try:
@@ -815,24 +669,28 @@ def _fresh_kernels_with_stale_native(monkeypatch, value, abi=None):
 
 class TestStaleExtension:
     def test_compiled_with_stale_extension_rejected(self, monkeypatch):
-        with pytest.raises(ConfigurationError, match="stale"):
+        with pytest.raises(ConfigurationError, match="stale.*ABI None"):
             _fresh_kernels_with_stale_native(monkeypatch, "compiled")
 
     def test_default_demotes_stale_extension(self, monkeypatch):
         module = _fresh_kernels_with_stale_native(monkeypatch, None)
         assert module.NATIVE is False
         assert module.backend_name() == "py"
+        assert module.warm_span is None
 
     def test_older_abi_is_stale(self, monkeypatch):
-        """An extension with every entry point but an older table
+        """An extension with both entry points but an older table
         layout (list-typed gshare counters) must not engage."""
         from repro import kernels
 
         older = kernels.ABI - 1
-        with pytest.raises(ConfigurationError, match="stale"):
+        with pytest.raises(ConfigurationError, match=f"ABI {older}"):
             _fresh_kernels_with_stale_native(monkeypatch, "compiled", older)
         module = _fresh_kernels_with_stale_native(monkeypatch, None, older)
         assert module.NATIVE is False
+
+
+# -- build CLI ---------------------------------------------------------------
 
 
 class TestBuildCli:

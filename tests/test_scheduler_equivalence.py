@@ -21,11 +21,10 @@ from repro.acmp import (
     AcmpConfig,
     all_shared_config,
     baseline_config,
-    result_to_dict,
     worker_shared_config,
 )
 from repro.errors import DeadlockError
-from repro.machine import simulate
+from repro.machine import result_to_dict, simulate
 from repro.scmp import ScmpConfig, banked_config, private_config
 from repro.trace.records import (
     BasicBlockRecord,

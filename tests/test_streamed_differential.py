@@ -11,8 +11,8 @@ sharing works across them.
 
 import pytest
 
-from repro.acmp import AcmpConfig, result_to_dict
-from repro.machine import simulate
+from repro.acmp import AcmpConfig
+from repro.machine import result_to_dict, simulate
 from repro.sampling import resolve_plan, simulate_sampled
 from repro.scmp import ScmpConfig
 from repro.trace import StreamedTraceSet, open_trace_set, write_trace_set

@@ -181,7 +181,8 @@ class TestTraceCli:
 
 class TestCampaignWiring:
     def test_execute_run_event_dir_matches_synthesis(self, tmp_path):
-        from repro.acmp import AcmpConfig, result_to_dict
+        from repro.acmp import AcmpConfig
+        from repro.machine import result_to_dict
         from repro.campaign.runner import _traces_cached, execute_run
         from repro.campaign.spec import RunSpec
 
