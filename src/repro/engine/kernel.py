@@ -1,16 +1,20 @@
 """The simulation main loop: an event-driven ready/wake scheduler.
 
 :class:`SimulationKernel` owns the :class:`~repro.engine.clock.Clock`,
-the :class:`~repro.engine.events.EventQueue` and an ordered list of
-components. Components are held in a *ready set*; per simulated cycle
-the kernel:
+the :class:`~repro.engine.events.EventQueue`, the registered components
+and an ordered list of *step points* — (component, step) pairs. A
+component usually has one step point; one may have several, registered
+at different positions (a core steps its front-end before the shared
+interconnects and its back-end after them). Components are held in a
+*ready set*; per simulated cycle the kernel:
 
 1. wakes every component whose armed cycle timer is due;
 2. checks the registered finish condition;
 3. delivers every event due at the current cycle (event callbacks may
    wake sleeping components);
-4. steps each **ready** component in registration order, summing the
-   progress units (committed instructions) they report;
+4. calls every step point of each **ready** component, in step-point
+   order, summing the progress units (committed instructions) they
+   report;
 5. asks each ready component for a *sleep plan* and deregisters the
    ones that certify quiescence;
 6. arms the deadlock watchdog when no progress was made.
@@ -22,9 +26,10 @@ from :meth:`ScheduledComponent.sleep_plan`: a concrete wake-up cycle
 (redirect penalty, iTLB walk, commit pacing) arms a cycle timer;
 :data:`NEVER` means only an explicit :meth:`SimulationKernel.wake` (a
 fill completion, a barrier release) can rouse it. While asleep, a
-component is simply not on the run list; ``on_sleep``/``on_wake``
-bracket the nap so the component can batch-account the cycles it was
-never stepped for.
+component is simply not on the run list — none of its step points run
+— and ``on_sleep``/``on_wake`` bracket the nap so the component can
+batch-account the cycles it was never stepped for. Ready flags, timers
+and sleep plans are per component, never per step point.
 
 **Clock jumping.** When the ready set is empty, nothing can change
 until the next wake-up: the clock jumps straight to the earliest of the
@@ -96,7 +101,7 @@ class ScheduledComponent(Steppable, Protocol):
       component steps at ``now``. This is where elided cycles are
       batch-accounted so results match a stepped run bit for bit.
 
-    A component may also be registered with only :meth:`step`; it then
+    A component may also be registered with only step points; it then
     stays on the run list forever (and vetoes clock jumps), which is
     always correct, just slower.
     """
@@ -119,25 +124,26 @@ class KernelStats:
     cycles_skipped: int = 0
     skips: int = 0
     events_run: int = 0
-    #: Component step() calls actually made.
+    #: Step-point calls actually made.
     component_steps: int = 0
-    #: Step() calls elided on executed cycles because the component was
-    #: asleep (cycles jumped over are counted in ``cycles_skipped``).
+    #: Step-point calls elided on executed cycles because their
+    #: component was asleep (cycles jumped over are counted in
+    #: ``cycles_skipped``).
     component_steps_avoided: int = 0
     #: Transitions from asleep back into the ready set.
     wakes: int = 0
     #: Interconnect busy-only steps replaced by one batched settlement
     #: (a sleeping interconnect component charging a whole transfer
-    #: window at once); aggregated by the simulator after the run.
+    #: window at once); charged by the component as it settles.
     interconnect_busy_batched: int = 0
     #: Back-end commit/pacing steps replaced by one batched commit
-    #: replay (a sleeping back-end settling a whole deterministic
-    #: commit window at once); aggregated by the simulator after the run.
+    #: replay (a sleeping core settling a whole deterministic commit
+    #: window at once); charged by the core as it settles.
     commit_cycles_batched: int = 0
     #: Redirect-penalty stall cycles replaced by one batched redirect
     #: replay (a core sleeping across a mispredict drain + penalty and
-    #: settling the whole span at the fetch-resume cycle); aggregated
-    #: by the simulator after the run.
+    #: settling the whole span at the fetch-resume cycle); charged by
+    #: the core as it settles.
     redirect_cycles_batched: int = 0
     #: Commit-trajectory walks (planning + settlement) taken by the
     #: compiled ``replay_walk`` kernel instead of the interpreted loop;
@@ -174,7 +180,8 @@ class SimulationKernel:
         #: component every cycle (the bit-identical reference engine).
         self.cycle_skip = cycle_skip
         self.stats = KernelStats()
-        self._components: list[Steppable] = []
+        #: (component index, step) pairs in per-cycle call order.
+        self._points: list[tuple[int, Callable[[int], int | None]]] = []
         self._ready: list[bool] = []
         self._gen: list[int] = []
         self._plans: list[Callable[[int], int | None] | None] = []
@@ -198,10 +205,15 @@ class SimulationKernel:
 
     # -- wiring ------------------------------------------------------------
 
-    def register(self, component: Steppable) -> None:
-        """Add a component; step order is registration order."""
-        index = len(self._components)
-        self._components.append(component)
+    def register(
+        self,
+        component: object,
+        step: Callable[[int], int | None] | None = None,
+    ) -> None:
+        """Add a component with one step point (``step``, by default
+        ``component.step``) after every step point added so far."""
+        index = len(self._ready)
+        self._points.append((index, step or component.step))
         self._ready.append(True)
         self._gen.append(0)
         self._plans.append(getattr(component, "sleep_plan", None))
@@ -214,6 +226,22 @@ class SimulationKernel:
             self.tracer.set_thread_name(
                 SIM_PID, index + 1, f"{index}:{type(component).__name__}"
             )
+
+    def add_step(
+        self, component: object, step: Callable[[int], int | None]
+    ) -> None:
+        """Give a registered component another step point, after every
+        step point added so far. It runs only while the component is
+        ready, like the component's first."""
+        self._points.append((self._index("add_step", component), step))
+
+    def _index(self, caller: str, component: object) -> int:
+        try:
+            return self._index_of[id(component)]
+        except KeyError:
+            raise SimulationError(
+                f"{caller}() for unregistered component {component!r}"
+            ) from None
 
     def set_finish_condition(self, finished: Callable[[], bool]) -> None:
         """Install the predicate that ends the run (checked per cycle)."""
@@ -229,7 +257,7 @@ class SimulationKernel:
 
     # -- wake API ----------------------------------------------------------
 
-    def wake(self, component: Steppable) -> None:
+    def wake(self, component: object) -> None:
         """Return a sleeping component to the ready set.
 
         Safe to call for a component that is already ready (no-op). The
@@ -238,12 +266,7 @@ class SimulationKernel:
         Waking is always allowed — a spurious wake merely costs a no-op
         step — so callers should wake whenever in doubt.
         """
-        try:
-            index = self._index_of[id(component)]
-        except KeyError:
-            raise SimulationError(
-                f"wake() for unregistered component {component!r}"
-            ) from None
+        index = self._index("wake", component)
         if self._ready[index]:
             return
         self._wake_index(index, self.clock.now)
@@ -303,11 +326,10 @@ class SimulationKernel:
         """
         clock = self.clock
         events = self.events
-        components = self._components
+        points = self._points
         ready = self._ready
         stats = self.stats
-        count = len(components)
-        indices = range(count)
+        count = len(points)
         scheduled = self.cycle_skip
         executed = 0
         steps = 0
@@ -324,9 +346,9 @@ class SimulationKernel:
                     return now
                 events_run += events.run_due(now)
                 progress = 0
-                for index in indices:
+                for index, step in points:
                     if ready[index]:
-                        progress += components[index].step(now) or 0
+                        progress += step(now) or 0
                         steps += 1
                 executed += 1
                 if progress:

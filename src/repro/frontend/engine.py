@@ -336,7 +336,7 @@ class FetchEngine:
 
         Part of the scheduler's ready/wake contract
         (:class:`repro.engine.kernel.ScheduledComponent`, applied per
-        core by :class:`repro.acmp.components.CoreScheduleState`).
+        core by :class:`repro.machine.components.CoreComponent`).
         Returns ``(wake, space_needed)``:
 
         * ``wake is None`` — the front-end could act at ``now``; it must
@@ -407,7 +407,7 @@ class FetchEngine:
         """Penalty length when the redirect trajectory is deterministic.
 
         The scheduler's redirect-replay window
-        (:class:`repro.machine.components.CoreScheduleState`) may
+        (:class:`repro.machine.components.CoreComponent`) may
         batch-settle this front-end across the whole drain + penalty
         span when the remaining trajectory is already decided: a
         mispredict drain is pending and the FTQ is empty, so no fills,

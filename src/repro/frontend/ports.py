@@ -222,15 +222,6 @@ class SharedIcacheGroup:
         """Drop a core's not-yet-granted bus requests (redirect flush)."""
         return self.interconnect.flush_requester(self._slot_of[core_id])
 
-    def idle_at(self, cycle: int) -> bool:
-        """True when stepping the group at ``cycle`` is provably a no-op.
-
-        All in-flight work past the bus (cache accesses, L2/DRAM misses,
-        MSHR completions) lives in the kernel's event queue, so only the
-        interconnect needs per-cycle stepping.
-        """
-        return self.interconnect.idle_at(cycle)
-
     def wake_horizon(self, cycle: int) -> int | None:
         """Sleep plan for the group's interconnect component.
 

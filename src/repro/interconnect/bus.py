@@ -131,16 +131,6 @@ class Bus:
     def busy(self, now: int) -> bool:
         return now < self._busy_until
 
-    def idle_at(self, cycle: int) -> bool:
-        """True when stepping this bus at ``cycle`` is provably a no-op.
-
-        Used by the cycle-skipping fast path: an idle bus grants nothing
-        and accrues no busy/wait statistics, so skipping its step cannot
-        change results. A queued request or an in-flight transfer (which
-        counts busy cycles every step) vetoes the skip.
-        """
-        return cycle >= self._busy_until and self.pending_requests == 0
-
     def grant_horizon(self, cycle: int) -> int | None:
         """Earliest cycle >= ``cycle`` at which a grant could happen.
 

@@ -2,19 +2,15 @@
 
 Everything machine-neutral that the per-machine packages
 (:mod:`repro.acmp`, :mod:`repro.scmp`) build on: the shared
-configuration substrate, cache-group topology dataclasses, per-core
-ready/wake kernel components, the system assembly base class, the
+configuration substrate, cache-group topology dataclasses, the
+ready/wake kernel components (one per core, one per shared
+interconnect), the system assembly base class, the
 simulator driver, result records with JSON persistence, and the
 :class:`MachineModel` protocol + registry that the campaign and
 experiment layers resolve machines through.
 """
 
-from repro.machine.components import (
-    CoreCommitComponent,
-    CoreFrontendComponent,
-    CoreScheduleState,
-    GroupInterconnectComponent,
-)
+from repro.machine.components import CoreComponent, GroupInterconnectComponent
 from repro.machine.config import BaseMachineConfig
 from repro.machine.model import (
     MachineModel,
@@ -41,9 +37,7 @@ __all__ = [
     "CacheGroup",
     "CacheGroupResult",
     "Core",
-    "CoreCommitComponent",
-    "CoreFrontendComponent",
-    "CoreScheduleState",
+    "CoreComponent",
     "GroupInterconnectComponent",
     "MachineModel",
     "SimulationResult",

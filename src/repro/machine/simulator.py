@@ -1,7 +1,8 @@
 """The cycle-level simulation driver, machine-model agnostic.
 
-Per-cycle order of operations (encoded as per-core kernel components,
-see :mod:`repro.machine.components`):
+Per-cycle order of operations (the step points of one kernel component
+per core and one per shared interconnect, see
+:mod:`repro.machine.components`):
 
 1. scheduled completions land (line-buffer fills, cache refills);
 2. every runnable core's front-end steps (FTQ fill, issue, extract);
@@ -15,13 +16,15 @@ its pipeline; the cycle count at that point is the benchmark's execution
 time for the configured design point.
 
 The main loop lives in :class:`repro.engine.SimulationKernel`, an
-event-driven ready/wake scheduler: components that block (a front-end
-waiting on a fill, a back-end with an empty queue, a core blocked on
-synchronisation, an idle interconnect) leave the run list and arm a
-wake — an event or a cycle horizon — so each cycle only steps the
-components with work, and when nothing is ready at all the clock jumps
-straight to the next wake-up. Elided cycles are batch-accounted into
-the same stall buckets a stepped run would produce. Results are
+event-driven ready/wake scheduler: a core whose front-end and back-end
+both have nothing to do (waiting on a fill with an empty queue, blocked
+on synchronisation, or inside a deterministic commit or redirect
+window) and an idle interconnect leave the run list and arm a wake — an
+event or a cycle horizon — so each cycle only steps the components with
+work, and when nothing is ready at all the clock jumps straight to the
+next wake-up. A stalled front-end behind a live back-end skips its own
+steps without leaving the run list. Elided cycles are batch-accounted
+into the same stall buckets a stepped run would produce. Results are
 bit-identical either way; pass ``cycle_skip=False`` to force the
 cycle-by-cycle reference path that steps every component every cycle.
 """
@@ -75,7 +78,11 @@ class SystemSimulator:
         try:
             cycles = self.kernel.run(max_cycles=max_cycles)
         finally:
-            self._aggregate_stats()
+            # The back-ends have no kernel handle: fold their compiled
+            # walk counts in after the run.
+            self.kernel.stats.replay_walk_engaged += sum(
+                core.backend.replay_walk_engaged for core in self.system.cores
+            )
         result = self.system.collect_results(cycles)
         if self._metrics is not None:
             result.metrics = self.run_metrics().to_payload()
@@ -85,26 +92,6 @@ class SystemSimulator:
             # track instead of stacking them all at cycle 0.
             tracer.cycle_offset = self.kernel._ts_base + cycles + 1
         return result
-
-    def _aggregate_stats(self) -> None:
-        """Fold the components' batched-accounting counters into the
-        kernel's flat :class:`~repro.engine.kernel.KernelStats`."""
-        self.kernel.stats.interconnect_busy_batched += sum(
-            component.busy_steps_batched
-            for component in self.system.interconnect_components
-        )
-        self.kernel.stats.commit_cycles_batched += sum(
-            state.commit_cycles_batched
-            for state in self.system.schedule_states
-        )
-        self.kernel.stats.redirect_cycles_batched += sum(
-            state.redirect_cycles_batched
-            for state in self.system.schedule_states
-        )
-        self.kernel.stats.replay_walk_engaged += sum(
-            core.backend.replay_walk_engaged
-            for core in self.system.cores
-        )
 
     def run_metrics(self) -> MetricsRegistry:
         """The run's :class:`KernelStats` as labelled ``kernel.*``

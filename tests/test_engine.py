@@ -1,8 +1,9 @@
 """Tests for the reusable simulation kernel (repro.engine).
 
 Covers the clock, event-queue semantics (same-cycle rescheduling),
-kernel progress/watchdog behaviour, and the ready/wake scheduler's
-exact-equivalence contract against the cycle-by-cycle reference engine.
+kernel progress/watchdog behaviour, components with several step
+points, and the ready/wake scheduler's exact-equivalence contract
+against the cycle-by-cycle reference engine.
 """
 
 import pytest
@@ -211,6 +212,105 @@ class TestKernel:
             kernel.run(max_cycles=1_000)
         assert kernel.stats.cycles_skipped == 0
         assert kernel.stats.component_steps == kernel.stats.cycles_executed
+
+
+class _TwoPointComponent:
+    """Logs both of its step points; naps once from ``sleep_at`` to
+    ``wake_at`` (the shape of a core: front-end and back-end steps)."""
+
+    def __init__(self, log: list, sleep_at: int = -1, wake_at: int = 0):
+        self.log = log
+        self.sleep_at = sleep_at
+        self.wake_at = wake_at
+        self.slept: list[int] = []
+        self.woken: list[int] = []
+
+    def front(self, now: int) -> int:
+        self.log.append(("front", now))
+        return 0
+
+    def back(self, now: int) -> int:
+        self.log.append(("back", now))
+        return 1
+
+    def sleep_plan(self, now: int) -> int | None:
+        return self.wake_at if now == self.sleep_at else None
+
+    def on_sleep(self, now: int) -> None:
+        self.slept.append(now)
+
+    def on_wake(self, now: int) -> None:
+        self.woken.append(now)
+
+
+class _Logged:
+    """A single-step component that never sleeps."""
+
+    def __init__(self, log: list, name: str) -> None:
+        self.log = log
+        self.name = name
+
+    def step(self, now: int) -> int:
+        self.log.append((self.name, now))
+        return 0
+
+
+class TestStepPoints:
+    def test_both_points_step_in_order_around_a_middle_component(self):
+        kernel = SimulationKernel(cycle_skip=False)
+        log: list = []
+        unit = _TwoPointComponent(log)
+        kernel.register(unit, unit.front)
+        kernel.register(_Logged(log, "middle"))
+        kernel.add_step(unit, unit.back)
+        kernel.set_finish_condition(lambda: kernel.clock.now == 2)
+        assert kernel.run(max_cycles=100) == 2
+        assert log == [
+            ("front", 0), ("middle", 0), ("back", 0),
+            ("front", 1), ("middle", 1), ("back", 1),
+        ]
+
+    def test_points_sleep_and_wake_as_one(self):
+        kernel = SimulationKernel()
+        log: list = []
+        unit = _TwoPointComponent(log, sleep_at=2, wake_at=10)
+        kernel.register(unit, unit.front)
+        kernel.add_step(unit, unit.back)
+        kernel.set_finish_condition(lambda: kernel.clock.now == 12)
+        assert kernel.run(max_cycles=100) == 12
+        stepped = sorted({now for _point, now in log})
+        assert stepped == [0, 1, 2, 10, 11]
+        assert [point for point, _now in log] == ["front", "back"] * 5
+        assert unit.slept == [2]
+        assert unit.woken == [10]
+        # One timer: a single wake, and one clock jump straight to it.
+        assert kernel.stats.wakes == 1
+        assert kernel.stats.skips == 1
+        assert kernel.stats.cycles_skipped == 10 - 3
+
+    def test_step_counts_are_per_step_point(self):
+        kernel = SimulationKernel()
+        log: list = []
+        unit = _TwoPointComponent(log, sleep_at=2, wake_at=10)
+        kernel.register(unit, unit.front)
+        kernel.register(_Logged(log, "middle"))
+        kernel.add_step(unit, unit.back)
+        kernel.set_finish_condition(lambda: kernel.clock.now == 12)
+        kernel.run(max_cycles=100)
+        stats = kernel.stats
+        # The always-ready middle component vetoes every jump: 12
+        # executed cycles of 3 step points, the unit's 2 points elided
+        # on the 7 cycles 3..9 it slept through.
+        assert stats.cycles_executed == 12
+        assert stats.component_steps_avoided == 2 * 7
+        assert stats.component_steps == 3 * 12 - 2 * 7
+        assert stats.component_steps == len(log)
+
+    def test_add_step_requires_a_registered_component(self):
+        kernel = SimulationKernel()
+        unit = _TwoPointComponent([])
+        with pytest.raises(SimulationError, match="unregistered"):
+            kernel.add_step(unit, unit.back)
 
 
 def _master_records(phases=1):
