@@ -9,6 +9,12 @@ the paper does.
 
 Fractional IPC values are honoured through a commit-credit accumulator:
 an IPC of 0.6 yields three committed instructions every five cycles.
+
+While a core sleeps, the scheduler accounts its elided back-end cycles
+in batches that are bit-identical to stepping: :meth:`CommitEngine.
+idle_steps` for an empty queue, and :meth:`CommitEngine.replay_steps`
+for a commit/pacing trajectory that one planning walk
+(:meth:`CommitEngine.replay_horizon`) sized ahead of time.
 """
 
 from __future__ import annotations
@@ -21,12 +27,10 @@ from repro.utils import require_positive
 
 #: Compiled credit-trajectory walk, or None on the pure-Python backend —
 #: the planning/settlement methods below then run their inline loops.
-#: One entry point serves all four walks, selected by the ``REPLAY_*``
-#: modes of :mod:`repro.kernels`.
+#: One entry point serves the planning walk and the settlement, selected
+#: by the ``REPLAY_*`` modes of :mod:`repro.kernels`.
 _native_replay = kernels.replay_walk
-_REPLAY_NEXT = kernels.REPLAY_NEXT
 _REPLAY_HORIZON = kernels.REPLAY_HORIZON
-_REPLAY_DRAIN = kernels.REPLAY_DRAIN
 _REPLAY_STEPS = kernels.REPLAY_STEPS
 
 #: Stall categories reported in the CPI stack (Fig. 8).
@@ -149,61 +153,24 @@ class CommitEngine:
         self.stats.base_cycles += 1
         return 0
 
-    def cycles_to_next_commit(self, cap: int = 4096) -> int | None:
-        """Cycles until :meth:`step` would next commit, absent pushes.
-
-        The scheduler's commit-pacing horizon: with a non-empty queue
-        and a sub-unit IPC, the back-end only acts on the cycle its
-        accumulated credit crosses 1.0; every cycle before that is pure
-        pacing (see :meth:`pacing_steps`). The crossing is found by
-        replaying the same float additions ``step`` performs, because
-        ``credit + k * ipc`` and ``k`` repeated additions round
-        differently.
-
-        Returns ``None`` when the queue is empty, or when no commit
-        occurs within ``cap`` cycles (the caller then simply keeps the
-        back-end on the run list).
-        """
-        if self._iq_count == 0:
-            return None
-        if _native_replay is not None:
-            self.replay_walk_engaged += 1
-            ahead = _native_replay(
-                _REPLAY_NEXT, self._credit, self._ipc, self._iq_count,
-                cap, -1,
-            )
-            return ahead if ahead else None
-        credit = self._credit
-        ipc = self._ipc
-        for ahead in range(1, cap + 1):
-            credit += ipc
-            if credit >= 1.0:
-                return ahead
-        return None
-
     def replay_horizon(self, space_needed: int = 0, cap: int = 4096) -> int | None:
-        """Relative wake cycle bounding a commit-replay window.
+        """Relative cycle of the commit that drains the queue or frees room.
 
-        The scheduler's commit-replay lever: with a non-empty queue and
-        a quiescent front-end (no pushes, no IPC retargets), every
-        coming back-end cycle is either a commit or sub-unit pacing —
-        never a stall — until the queue drains, so the whole span can be
-        settled in one batch (:meth:`replay_steps`). This walks the same
-        float credit trajectory :meth:`step` would produce and returns
-        ``r`` such that every cycle in ``[now + 1, now + r)`` is
-        replayable and the caller must wake at ``now + r`` at the
-        latest:
-
-        * the cycle after the queue drains (the next cycle would charge
-          a stall, which needs live attribution);
-        * the cycle a front-end waiting for ``space_needed`` free queue
-          slots would first act — one cycle after the commit that frees
-          the room, exactly when a live back-end would have woken it;
-        * ``cap`` cycles out, when neither bound is reached first (the
-          caller then simply re-plans on wake).
+        The scheduler's one planning walk: with a non-empty queue and a
+        quiescent front-end (no pushes, no IPC retargets), every coming
+        back-end cycle is either a commit or sub-unit pacing — never a
+        stall — until the queue drains, so the trajectory can be
+        planned ahead and settled in one batch (:meth:`replay_steps`).
+        This walks the same float credit trajectory :meth:`step` would
+        produce and returns ``c`` such that the commit at ``now + c``
+        is the first that either empties the queue or leaves
+        ``space_needed`` free slots (``0``: no space gate, so ``c`` is
+        the exact drain cycle). Every cycle in ``[now + 1, now + c]``
+        is replayable.
 
         Returns ``None`` when the queue is empty (no commit stream to
-        replay; the idle-window machinery owns that case).
+        replay; the idle-window machinery owns that case) or when no
+        such commit happens within ``cap`` cycles.
         """
         iq = self._iq_count
         if iq == 0:
@@ -211,10 +178,11 @@ class CommitEngine:
         space_limit = self.iq_capacity - space_needed if space_needed else -1
         if _native_replay is not None:
             self.replay_walk_engaged += 1
-            return _native_replay(
+            ahead = _native_replay(
                 _REPLAY_HORIZON, self._credit, self._ipc, iq, cap,
                 space_limit,
             )
+            return ahead or None
         credit = self._credit
         ipc = self._ipc
         for ahead in range(1, cap + 1):
@@ -224,44 +192,6 @@ class CommitEngine:
                 iq -= commit
                 credit = min(credit - commit, ipc)
                 if iq <= space_limit or iq == 0:
-                    return ahead + 1
-        return cap
-
-    def drain_horizon(self, cap: int = 4096) -> int | None:
-        """Relative cycle of the commit that empties the queue.
-
-        The scheduler's redirect-replay lever: a front-end stalled on a
-        mispredict drain cannot push, so the queue's remaining commit
-        trajectory is fully deterministic and the exact drain cycle can
-        be planned ahead. This walks the same float credit trajectory
-        :meth:`step` would produce and returns ``d`` such that the
-        queue's last instructions commit at ``now + d`` (every cycle in
-        ``[now + 1, now + d]`` is a commit or sub-unit pacing step,
-        replayable by :meth:`replay_steps`).
-
-        Returns ``None`` when the queue is already empty, or when it
-        does not drain within ``cap`` cycles — unlike
-        :meth:`replay_horizon`'s capped return, the caller needs an
-        unambiguous drain point to anchor the redirect penalty to.
-        """
-        iq = self._iq_count
-        if iq == 0:
-            return None
-        if _native_replay is not None:
-            self.replay_walk_engaged += 1
-            drain = _native_replay(
-                _REPLAY_DRAIN, self._credit, self._ipc, iq, cap, -1,
-            )
-            return drain if drain else None
-        credit = self._credit
-        ipc = self._ipc
-        for ahead in range(1, cap + 1):
-            credit += ipc
-            commit = min(int(credit), iq)
-            if commit:
-                iq -= commit
-                credit = min(credit - commit, ipc)
-                if iq == 0:
                     return ahead
         return None
 
@@ -322,27 +252,6 @@ class CommitEngine:
             else:
                 self.stats.base_cycles += 1
         return committed_total, last_commit
-
-    def pacing_steps(self, cycles: int) -> None:
-        """Replay ``cycles`` sub-unit pacing steps at once.
-
-        Equivalent to calling :meth:`step` ``cycles`` times while the
-        queue is non-empty and the commit credit stays below 1.0: each
-        such cycle accrues one base cycle and one IPC's worth of
-        credit, nothing else. The caller (the scheduler's commit-pacing
-        window) guarantees the window ends strictly before the next
-        commit; crossing the boundary here means the window was
-        mis-sized and the run would diverge from a stepped one.
-        """
-        if self._iq_count == 0:
-            raise SimulationError("pacing_steps requires a non-empty queue")
-        for _ in range(cycles):
-            self._credit += self._ipc
-            if self._credit >= 1.0:
-                raise SimulationError(
-                    "pacing window crossed a commit boundary"
-                )
-            self.stats.base_cycles += 1
 
     def idle_steps(self, cycles: int, stall_cause: str) -> None:
         """Account ``cycles`` consecutive :meth:`step` calls at once.

@@ -23,13 +23,15 @@ interconnects and its back-end after them). Components are held in a
 waiting on a line fill, a back-end with an empty instruction queue, an
 idle interconnect, a core blocked on synchronisation — returns a plan
 from :meth:`ScheduledComponent.sleep_plan`: a concrete wake-up cycle
-(redirect penalty, iTLB walk, commit pacing) arms a cycle timer;
-:data:`NEVER` means only an explicit :meth:`SimulationKernel.wake` (a
-fill completion, a barrier release) can rouse it. While asleep, a
-component is simply not on the run list — none of its step points run
-— and ``on_sleep``/``on_wake`` bracket the nap so the component can
-batch-account the cycles it was never stepped for. Ready flags, timers
-and sleep plans are per component, never per step point.
+(redirect penalty, iTLB walk, the end of a commit-replay window) arms
+a cycle timer; :data:`NEVER` means only an explicit
+:meth:`SimulationKernel.wake` (a fill completion, a barrier release)
+can rouse it. While asleep, a component is simply not on the run list
+— none of its step points run — and ``on_wake`` closes the nap so the
+component can batch-account the cycles it was never stepped for (a
+component may also settle part of a nap earlier, when another reads
+its state mid-cycle). Ready flags, timers and sleep plans are per
+component, never per step point.
 
 **Clock jumping.** When the ready set is empty, nothing can change
 until the next wake-up: the clock jumps straight to the earliest of the
@@ -93,9 +95,8 @@ class ScheduledComponent(Steppable, Protocol):
       cycle ``w > now + 1`` promises that stepping it anywhere in
       ``[now + 1, w)`` would be a no-op provided no wake arrives first;
       the kernel arms a timer at ``w``. Returning :data:`NEVER` promises
-      the same for every future cycle until an explicit wake.
-    * ``on_sleep(now)`` is called when the kernel deregisters the
-      component (its nap covers cycles from ``now + 1``).
+      the same for every future cycle until an explicit wake. The nap
+      covers cycles from ``now + 1``.
     * ``on_wake(now)`` is called when the component re-enters the ready
       set — by timer or by :meth:`SimulationKernel.wake` — before any
       component steps at ``now``. This is where elided cycles are
@@ -108,9 +109,6 @@ class ScheduledComponent(Steppable, Protocol):
 
     def sleep_plan(self, now: int) -> int | None:
         """Earliest cycle at which :meth:`step` could act again."""
-
-    def on_sleep(self, now: int) -> None:
-        """The kernel deregistered this component at the end of ``now``."""
 
     def on_wake(self, now: int) -> None:
         """The component re-enters the ready set at ``now``."""
@@ -132,10 +130,6 @@ class KernelStats:
     component_steps_avoided: int = 0
     #: Transitions from asleep back into the ready set.
     wakes: int = 0
-    #: Interconnect busy-only steps replaced by one batched settlement
-    #: (a sleeping interconnect component charging a whole transfer
-    #: window at once); charged by the component as it settles.
-    interconnect_busy_batched: int = 0
     #: Back-end commit/pacing steps replaced by one batched commit
     #: replay (a sleeping core settling a whole deterministic commit
     #: window at once); charged by the core as it settles.
@@ -185,7 +179,6 @@ class SimulationKernel:
         self._ready: list[bool] = []
         self._gen: list[int] = []
         self._plans: list[Callable[[int], int | None] | None] = []
-        self._on_sleep: list[Callable[[int], None] | None] = []
         self._on_wake: list[Callable[[int], None] | None] = []
         self._index_of: dict[int, int] = {}
         self._timers: list[tuple[int, int, int]] = []  # (cycle, index, gen)
@@ -217,7 +210,6 @@ class SimulationKernel:
         self._ready.append(True)
         self._gen.append(0)
         self._plans.append(getattr(component, "sleep_plan", None))
-        self._on_sleep.append(getattr(component, "on_sleep", None))
         self._on_wake.append(getattr(component, "on_wake", None))
         self._index_of[id(component)] = index
         self._ready_count += 1
@@ -254,6 +246,21 @@ class SimulationKernel:
     def set_deadlock_detail(self, detail: Callable[[int], str]) -> None:
         """Install extra diagnostic text for deadlock errors."""
         self._deadlock_detail = detail
+
+    def release(self) -> None:
+        """Drop every registered component and callback once a run ends.
+
+        Components hold the kernel (its clock, stats and wake API) and
+        the kernel holds them, so without this a finished machine would
+        be freed only by the cyclic garbage collector. The clock, the
+        event queue and :attr:`stats` stay readable.
+        """
+        self._points = []
+        self._plans = []
+        self._on_wake = []
+        self._finished = lambda: False
+        self._describe = None
+        self._deadlock_detail = None
 
     # -- wake API ----------------------------------------------------------
 
@@ -388,9 +395,6 @@ class SimulationKernel:
                 heapq.heappush(
                     self._timers, (wake_at, index, self._gen[index])
                 )
-            on_sleep = self._on_sleep[index]
-            if on_sleep is not None:
-                on_sleep(now)
             ready[index] = False
             self._ready_count -= 1
             if self.tracer is not None:

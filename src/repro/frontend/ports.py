@@ -229,8 +229,8 @@ class SharedIcacheGroup:
         possible at ``cycle``); a later cycle promises no grant before
         it (the earliest queued request's bus-busy horizon); ``NEVER``
         (no queued request) sleeps until the activity listener fires.
-        Busy cycles elided while asleep are recovered by
-        :meth:`settle_busy`.
+        A bus charges a transfer's occupancy at grant, so the busy
+        cycles elided while asleep need no settlement.
         """
         horizon = self.interconnect.grant_horizon(cycle)
         if horizon is None:
@@ -238,10 +238,6 @@ class SharedIcacheGroup:
         if horizon <= cycle:
             return None
         return horizon
-
-    def settle_busy(self, upto: int) -> int:
-        """Batch-charge busy cycles the sleeping component never stepped."""
-        return self.interconnect.settle_busy(upto)
 
 
 class SharedPortView:

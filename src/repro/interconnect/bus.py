@@ -6,8 +6,13 @@ front-ends) and a cache. One transaction occupies the bus for
 bus — during which no other requester is granted; the time a request spends
 queued before its grant is the paper's "contention" term.
 
-The same class models the L2-DRAM bus (Table I: 32 B wide, 4-cycle
-latency + contention) shared by all L2 caches on the miss path.
+A transaction's whole occupancy is charged to the bus's busy cycles
+when it is granted, so a bus that is only draining a transfer does
+nothing per cycle; the owner subtracts any occupancy that overhangs the
+run's last cycle (:meth:`Bus.busy_overhang`) when it collects results.
+
+The L2-DRAM bus on the miss path is a different, first-come-first-served
+model (:class:`~repro.memory.controller.FcfsBus`).
 """
 
 from __future__ import annotations
@@ -91,10 +96,6 @@ class Bus:
         self._arbiter = arbiter if arbiter is not None else RoundRobinArbiter(requester_count)
         self._queues: list[deque[BusRequest]] = [deque() for _ in range(requester_count)]
         self._busy_until = 0
-        #: Busy cycles are charged up to (exclusive) this cycle; live
-        #: steps settle one cycle at a time, a sleeping interconnect
-        #: component settles the whole elided window on wake-up.
-        self._busy_accounted_to = 0
         self.stats = BusStats()
 
     def transfer_cycles(self, payload_bytes: int) -> int:
@@ -135,28 +136,22 @@ class Bus:
         """Earliest cycle >= ``cycle`` at which a grant could happen.
 
         ``None`` when no request is queued (only an in-flight transfer,
-        if any, keeps the bus busy; its per-cycle busy accounting is
-        recoverable in one step via :meth:`settle_busy`, so stepping the
-        bus before the next request arrives is a provable no-op).
+        if any, keeps the bus busy, and its occupancy was charged at
+        grant, so stepping the bus before the next request arrives is a
+        provable no-op).
         """
         if self.pending_requests == 0:
             return None
         return max(cycle, self._busy_until)
 
-    def settle_busy(self, upto: int) -> int:
-        """Charge the busy cycles of ``[accounted, min(upto, busy_end))``.
+    def busy_overhang(self, cycles: int) -> int:
+        """Charged busy cycles that fall at or after cycle ``cycles``.
 
-        Returns the number of cycles charged, so a sleeping interconnect
-        component can report how many per-cycle steps it batched away.
-        A stepped run reaches the identical total one cycle at a time.
+        Occupancy is charged at grant, so a transfer still draining when
+        a run ends at ``cycles`` has been charged for cycles a stepped
+        bus never reached; only the last grant can overhang.
         """
-        end = min(upto, self._busy_until)
-        charged = end - self._busy_accounted_to
-        if charged <= 0:
-            return 0
-        self.stats.busy_cycles += charged
-        self._busy_accounted_to = end
-        return charged
+        return max(0, self._busy_until - cycles)
 
     def step(self, now: int) -> BusRequest | None:
         """Advance one cycle; return the request granted this cycle, if any.
@@ -165,7 +160,6 @@ class Bus:
         bus ``latency``.
         """
         if now < self._busy_until:
-            self.settle_busy(now + 1)
             return None
         candidates = [
             requester
@@ -179,8 +173,7 @@ class Bus:
         request.granted_at = now
         occupancy = self.transfer_cycles(request.payload_bytes)
         self._busy_until = now + occupancy
-        self._busy_accounted_to = now
-        self.settle_busy(now + 1)  # the grant cycle itself counts busy
+        self.stats.busy_cycles += occupancy
         self.stats.transactions += 1
         wait = request.wait_cycles
         self.stats.wait_cycles += wait

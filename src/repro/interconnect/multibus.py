@@ -86,9 +86,8 @@ class MultiBus:
         """Earliest cycle >= ``cycle`` at which any bus could grant.
 
         ``None`` when no bus has a queued request: in-flight transfers
-        may still be draining, but their per-cycle busy accounting is
-        recoverable in one step (:meth:`settle_busy`), so nothing
-        observable happens until a new request arrives.
+        may still be draining, but their occupancy was charged at grant,
+        so nothing observable happens until a new request arrives.
         """
         horizon: int | None = None
         for bus in self.buses:
@@ -96,10 +95,6 @@ class MultiBus:
             if candidate is not None and (horizon is None or candidate < horizon):
                 horizon = candidate
         return horizon
-
-    def settle_busy(self, upto: int) -> int:
-        """Batch-charge every bus's elided busy cycles up to ``upto``."""
-        return sum(bus.settle_busy(upto) for bus in self.buses)
 
     @property
     def pending_requests(self) -> int:

@@ -8,9 +8,10 @@ Two hot loops have a hand-written C replacement in
   span walk (iTLB, line buffers, LRU L1I/L2, gshare, loop predictor and
   BTB over one thread's flat span encoding), replacing
   ``BatchedWarmer._walk_span_py``;
-* ``replay_walk`` — the four deterministic credit-trajectory walks of
-  :class:`~repro.backend.backend.CommitEngine`, replacing their inline
-  loops (the mode selectors are the ``REPLAY_*`` constants below).
+* ``replay_walk`` — the two deterministic credit-trajectory walks of
+  :class:`~repro.backend.backend.CommitEngine` (the planning walk and
+  the batched settlement), replacing their inline loops (the mode
+  selectors are the ``REPLAY_*`` constants below).
 
 Each consumer keeps its inline loop as the one Python implementation;
 the compiled entry point must be bit-identical to it, and
@@ -45,9 +46,7 @@ __all__ = [
     "backend_name",
     "warm_span",
     "replay_walk",
-    "REPLAY_NEXT",
     "REPLAY_HORIZON",
-    "REPLAY_DRAIN",
     "REPLAY_STEPS",
 ]
 
@@ -59,17 +58,16 @@ if _REQUESTED not in ("", "py", "compiled"):
 
 #: Interface version the compiled extension must report as ``ABI``.
 #: Bumped whenever an entry point's signature or table types change
-#: (2: ``warm_span`` takes the gshare table as a ``bytearray``), so an
+#: (2: ``warm_span`` takes the gshare table as a ``bytearray``; 3:
+#: ``replay_walk`` keeps only the planning and settlement modes), so an
 #: extension built from older source is treated as stale rather than
-#: failing mid-run on a type check.
-ABI = 2
+#: failing mid-run on a type check or a mode mismatch.
+ABI = 3
 
 #: :func:`replay_walk` mode selectors, one per
 #: :class:`~repro.backend.backend.CommitEngine` walk.
-REPLAY_NEXT = 0  # cycles_to_next_commit: first credit >= 1.0 crossing
-REPLAY_HORIZON = 1  # replay_horizon: drain/space trigger, else cap
-REPLAY_DRAIN = 2  # drain_horizon: exact queue-empty cycle, else none
-REPLAY_STEPS = 3  # replay_steps: settle a span, return the new state
+REPLAY_HORIZON = 0  # replay_horizon: drain/space trigger cycle, else none
+REPLAY_STEPS = 1  # replay_steps: settle a span, return the new state
 
 _native = None
 if _REQUESTED != "py":

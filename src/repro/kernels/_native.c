@@ -1,7 +1,7 @@
 /* Compiled hot-loop kernels: two entry points.
  *
  * warm_span replaces BatchedWarmer._walk_span_py (repro.sampling.warmer)
- * and replay_walk replaces the four credit-trajectory walks of
+ * and replay_walk replaces the two credit-trajectory walks of
  * CommitEngine (repro.backend.backend). Each is bit-identical to the
  * consumer's inline Python loop — first-match scans, first-minimum
  * victim tie-breaks, lazy LRU order-list materialization, seen-set and
@@ -475,20 +475,17 @@ kernels_warm_span(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
  * `credit += ipc` additions with truncating commits, rounded exactly
  * like the stepped engine — one call per planning/settlement walk.
  * Each mode mirrors one CommitEngine method's inline loop:
- *   0 REPLAY_NEXT (cycles_to_next_commit): the first cycle the credit
- *     crosses 1.0, or 0 when none lands within count cycles;
- *   1 REPLAY_HORIZON (replay_horizon): one cycle past the commit that
- *     drains the queue or leaves iq <= space_limit, else count
- *     (space_limit -1: no space gate);
- *   2 REPLAY_DRAIN (drain_horizon): the exact cycle the queue empties,
- *     or 0 when it does not drain within count cycles;
- *   3 REPLAY_STEPS (replay_steps): settle count commit/pacing cycles
+ *   0 REPLAY_HORIZON (replay_horizon): the cycle of the commit that
+ *     drains the queue or leaves iq <= space_limit (space_limit -1: no
+ *     space gate, so the exact drain cycle), or 0 when no such commit
+ *     lands within count cycles;
+ *   1 REPLAY_STEPS (replay_steps): settle count commit/pacing cycles
  *     and return (committed, base_cycles, last_commit, iq, credit,
  *     stalled); last_commit is the 1-based offset of the last
  *     committing cycle (0 for pure pacing), and a stalled walk stops on
  *     the stall cycle with its credit addition applied and no base
  *     cycle charged.
- * Nothing is mutated; the caller applies mode 3's returned state. */
+ * Nothing is mutated; the caller applies mode 1's returned state. */
 static PyObject *
 kernels_replay_walk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -507,16 +504,7 @@ kernels_replay_walk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (PyErr_Occurred()) {
         return NULL;
     }
-    if (mode == 0) { /* REPLAY_NEXT */
-        for (long long ahead = 1; ahead <= count; ahead++) {
-            credit += ipc;
-            if (credit >= 1.0) {
-                return PyLong_FromLongLong(ahead);
-            }
-        }
-        return PyLong_FromLongLong(0);
-    }
-    if (mode == 1) { /* REPLAY_HORIZON */
+    if (mode == 0) { /* REPLAY_HORIZON */
         for (long long ahead = 1; ahead <= count; ahead++) {
             credit += ipc;
             long long commit = (long long)credit;
@@ -530,26 +518,6 @@ kernels_replay_walk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                     credit = ipc;
                 }
                 if (iq <= space_limit || iq == 0) {
-                    return PyLong_FromLongLong(ahead + 1);
-                }
-            }
-        }
-        return PyLong_FromLongLong(count);
-    }
-    if (mode == 2) { /* REPLAY_DRAIN */
-        for (long long ahead = 1; ahead <= count; ahead++) {
-            credit += ipc;
-            long long commit = (long long)credit;
-            if (commit > iq) {
-                commit = iq;
-            }
-            if (commit) {
-                iq -= commit;
-                credit -= (double)commit;
-                if (credit > ipc) {
-                    credit = ipc;
-                }
-                if (iq == 0) {
                     return PyLong_FromLongLong(ahead);
                 }
             }
@@ -607,7 +575,7 @@ PyMODINIT_FUNC
 PyInit__native(void)
 {
     PyObject *module = PyModule_Create(&kernels_module);
-    if (module != NULL && PyModule_AddIntConstant(module, "ABI", 2) < 0) {
+    if (module != NULL && PyModule_AddIntConstant(module, "ABI", 3) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -17,6 +17,7 @@ unexpectedly on the pure-Python backend.
 from __future__ import annotations
 
 import argparse
+import importlib
 import pathlib
 import shlex
 import subprocess
@@ -96,7 +97,10 @@ def staleness(out_dir: pathlib.Path | None = None) -> str | None:
     if target.stat().st_mtime < source.stat().st_mtime:
         return f"{target.name} is older than {source.name}"
     try:
-        import repro.kernels._native as native
+        # Not `import repro.kernels._native as native`: that binds the
+        # package attribute, which repro.kernels resets to None when it
+        # rejects a stale build.
+        native = importlib.import_module("repro.kernels._native")
     except ImportError as error:
         return f"{target.name} does not import: {error}"
     from repro.kernels import ABI

@@ -44,56 +44,48 @@ opens right there:
   batch-settled (:meth:`~repro.backend.backend.CommitEngine.
   replay_steps`) and the cycle of the last replayed commit is reported
   to the kernel (:meth:`~repro.engine.SimulationKernel.note_progress`)
-  so the watchdog still fires at the stepped engine's exact cycle. The
-  queue count *changes* inside the window, so cores whose ``iq_count``
-  is observed cross-core (the ICOUNT arbiter's urgency callback) never
-  open one — they fall back to the pacing window below.
+  so the watchdog still fires at the stepped engine's exact cycle.
 * **redirect-replay sleep** — a mispredicted branch is draining and the
   FTQ is already empty: nothing can fill, issue or extract until fetch
   resumes, so the remaining trajectory is fully decided — commits to
-  the exact drain cycle (:meth:`~repro.backend.backend.CommitEngine.
-  drain_horizon`), the drain-complete transition the front-end would
-  perform one cycle later (:meth:`~repro.frontend.engine.FetchEngine.
-  begin_redirect` replays it), then pure ``"branch"`` stalls until the
-  mispredict penalty elapses. The core sleeps to the fetch-resume cycle
-  and the whole span settles in one batch, bounded by the same guards
-  as commit replay (shared-ICOUNT observation disables it, the
-  watchdog's firing horizon caps it, the front-end's own wake — iTLB
-  timers — cuts it short). The elided penalty stalls are surfaced
-  through :attr:`~repro.engine.kernel.KernelStats.
-  redirect_cycles_batched`.
-* **unit pacing sleep** — the queue is non-empty but the commit credit
-  stays below 1.0 until a known cycle
-  (:meth:`~repro.backend.backend.CommitEngine.cycles_to_next_commit`);
-  the elided cycles are pure sub-unit pacing
-  (:meth:`~repro.backend.backend.CommitEngine.pacing_steps`) and the
-  core wakes on the commit cycle. The queue count is constant inside
-  the window, so cross-core observers (the ICOUNT arbiter's urgency
-  callback) always read current state — the fallback that keeps
-  ICOUNT-arbitrated cores elidable.
+  the exact drain cycle, the drain-complete transition the front-end
+  would perform one cycle later (:meth:`~repro.frontend.engine.
+  FetchEngine.begin_redirect` replays it), then pure ``"branch"``
+  stalls until the mispredict penalty elapses. The core sleeps to the
+  fetch-resume cycle and the whole span settles in one batch, bounded
+  by the same guards as commit replay (the watchdog's firing horizon
+  caps it, the front-end's own wake — iTLB timers — cuts it short).
+  The elided penalty stalls are surfaced through
+  :attr:`~repro.engine.kernel.KernelStats.redirect_cycles_batched`.
 
 A finished core sleeps without a window — a stepped run does nothing
 for it either. Every mode is conservative: a core that cannot prove
 quiescence simply stays on the run list, which is always equivalent
 (its steps are no-ops, exactly as in the reference engine).
 
-The planning walks (``cycles_to_next_commit``, ``replay_horizon``,
-``drain_horizon``) and both batched settlements (commit replay and the
-redirect replay's phase-1 drain, via ``replay_steps``) all reduce to the
-:class:`~repro.backend.backend.CommitEngine`'s deterministic float
+Settlement is re-entrant: a window may be settled piecewise before its
+wake and every elided cycle is still charged exactly once. That is what
+keeps cross-core reads exact. The ICOUNT arbiter reads a core's queue
+count mid-cycle, while the shared interconnects step; it reads through
+:meth:`CoreComponent.observed_iq_count`, which first settles the open
+window up to the current cycle — exactly the back-end steps a stepped
+run has made by then.
+
+Both replay windows are planned by one walk
+(:meth:`~repro.backend.backend.CommitEngine.replay_horizon`: the commit
+that drains the queue or frees the needed room) and settled by one
+(:meth:`~repro.backend.backend.CommitEngine.replay_steps`), both over
+the :class:`~repro.backend.backend.CommitEngine`'s deterministic float
 credit trajectory; on the compiled kernel backend each walk runs as one
 ``repro.kernels.replay_walk`` call (bit-identical float additions), and
 the calls taken are surfaced through
 :attr:`~repro.engine.kernel.KernelStats.replay_walk_engaged`.
 
-:class:`GroupInterconnectComponent` additionally batches **busy-cycle
-accounting**: a bus occupied by an in-flight transfer does nothing per
-cycle except count itself busy, so the component sleeps across the
-known busy horizon (or indefinitely when no request is queued) and the
-elided busy cycles are charged in one step on wake-up — or at result
-collection for a transfer still draining at the end of the run. The
-count of busy steps elided this way is surfaced through
-:attr:`~repro.engine.kernel.KernelStats.interconnect_busy_batched`.
+:class:`GroupInterconnectComponent` sleeps whenever no grant is
+possible: a bus charges a transfer's whole occupancy when it grants it
+(the overhang past the run's last cycle is subtracted once, at result
+collection), so a bus that is only draining a transfer has nothing to
+do per cycle.
 """
 
 from __future__ import annotations
@@ -106,14 +98,13 @@ from repro.obs.timeline import SIM_PID
 from repro.runtime.threads import ThreadState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine import KernelStats, SimulationKernel
+    from repro.engine import SimulationKernel
     from repro.frontend.ports import SharedIcacheGroup
     from repro.machine.system import Core
 
 #: CoreComponent back-end window kinds.
 _NO_WINDOW = "none"
 _IDLE = "idle"
-_PACING = "pacing"
 _REPLAY = "replay"
 _REDIRECT = "redirect"
 
@@ -130,7 +121,6 @@ class CoreComponent:
     __slots__ = (
         "core",
         "kernel",
-        "iq_observed",
         "window",
         "settled_to",
         "cause",
@@ -142,12 +132,6 @@ class CoreComponent:
     def __init__(self, core: Core, kernel: SimulationKernel) -> None:
         self.core = core
         self.kernel = kernel
-        #: True when this core's ``iq_count`` is read by another
-        #: component mid-cycle (the ICOUNT arbiter's urgency callback):
-        #: commit-replay windows, whose elided commits leave the queue
-        #: count stale until settlement, are then disabled in favour of
-        #: constant-count pacing windows. Set by the system wiring.
-        self.iq_observed = False
         #: Back-end accounting window; not _NO_WINDOW implies the unit
         #: is off the run list and owes batched cycles from settled_to.
         self.window = _NO_WINDOW
@@ -239,62 +223,51 @@ class CoreComponent:
             if wake_at is None:
                 return None  # the front-end acts next cycle
             if backend.iq_count:
-                if not self.iq_observed:
-                    # Commit replay: with the front-end quiescent the
-                    # whole commit trajectory is deterministic, so the
-                    # core sleeps across it and the elided commits
-                    # settle in one batch on wake. The window never
-                    # outlives the front-end's own wake (a stepped
-                    # front-end could act there), the cycle a
-                    # space-gated front-end must re-act, the drain
-                    # point (the next cycle would stall, which needs
-                    # live attribution), or the watchdog's firing cycle
-                    # (settlement must note elided progress before the
-                    # firing check).
-                    kernel = self.kernel
-                    guard = kernel.last_progress + kernel.stall_limit + 1
-                    bound = min(wake_at, guard) - now
-                    if bound >= MIN_TIMER_NAP:
-                        # Redirect replay: a mispredict drain with an
-                        # empty FTQ pins the whole remaining trajectory
-                        # — commits to the drain, one drain-complete
-                        # transition, then pure "branch" stalls until
-                        # the penalty elapses. Fuse all three into one
-                        # window ending at the fetch-resume cycle; the
-                        # drain must land unambiguously inside the
-                        # bound so the transition (and the batched
-                        # progress note) settles before the watchdog's
-                        # firing check.
-                        penalty = frontend.redirect_replay_penalty()
-                        if penalty is not None:
-                            drain_cap = min(bound - 1 - penalty, REPLAY_CAP)
-                            if drain_cap >= 1:
-                                drain = backend.drain_horizon(cap=drain_cap)
-                                if drain is not None:
-                                    resume = drain + 1 + penalty
-                                    if resume >= MIN_TIMER_NAP:
-                                        self._redirect_boundary = now + drain + 1
-                                        return self._open(
-                                            _REDIRECT, now, now + resume
-                                        )
-                        # replay_horizon may return cap + 1 (a drain or
-                        # space trigger on the last walked cycle), so
-                        # the cap stays one short of the bound.
-                        horizon = backend.replay_horizon(
-                            space_needed, cap=min(bound - 1, REPLAY_CAP)
-                        )
-                        if horizon is not None and horizon >= MIN_TIMER_NAP:
-                            return self._open(_REPLAY, now, now + horizon)
-                else:
-                    ahead = backend.cycles_to_next_commit()
-                    if ahead is not None and ahead >= MIN_TIMER_NAP:
-                        # Unit pacing nap until the commit cycle: the
-                        # queue count stays constant, so the ICOUNT
-                        # urgency callback observing this core always
-                        # reads current state. Commits are the only
-                        # source of the queue room the space gates wait
-                        # for, and none happens before the wake.
-                        return self._open(_PACING, now, min(wake_at, now + ahead))
+                # Commit replay: with the front-end quiescent the whole
+                # commit trajectory is deterministic, so the core sleeps
+                # across it and the elided commits settle in one batch
+                # on wake. The window never outlives the front-end's
+                # own wake (a stepped front-end could act there), the
+                # cycle a space-gated front-end must re-act, the drain
+                # point (the next cycle would stall, which needs live
+                # attribution), or the watchdog's firing cycle
+                # (settlement must note elided progress before the
+                # firing check).
+                kernel = self.kernel
+                guard = kernel.last_progress + kernel.stall_limit + 1
+                bound = min(wake_at, guard) - now
+                if bound >= MIN_TIMER_NAP:
+                    # Redirect replay: a mispredict drain with an empty
+                    # FTQ pins the whole remaining trajectory — commits
+                    # to the drain, one drain-complete transition, then
+                    # pure "branch" stalls until the penalty elapses.
+                    # Fuse all three into one window ending at the
+                    # fetch-resume cycle; the drain must land
+                    # unambiguously inside the bound so the transition
+                    # (and the batched progress note) settles before
+                    # the watchdog's firing check.
+                    penalty = frontend.redirect_replay_penalty()
+                    if penalty is not None:
+                        drain_cap = min(bound - 1 - penalty, REPLAY_CAP)
+                        if drain_cap >= 1:
+                            drain = backend.replay_horizon(cap=drain_cap)
+                            if drain is not None:
+                                resume = drain + 1 + penalty
+                                if resume >= MIN_TIMER_NAP:
+                                    self._redirect_boundary = now + drain + 1
+                                    return self._open(
+                                        _REDIRECT, now, now + resume
+                                    )
+                    # Wake one cycle after the commit that drains the
+                    # queue or frees the front-end's room (a live
+                    # back-end would wake the front-end there), else at
+                    # the cap; the cap stays one short of the bound so
+                    # that wake never passes it.
+                    cap = min(bound - 1, REPLAY_CAP)
+                    trigger = backend.replay_horizon(space_needed, cap)
+                    horizon = cap if trigger is None else trigger + 1
+                    if horizon >= MIN_TIMER_NAP:
+                        return self._open(_REPLAY, now, now + horizon)
                 # The back-end commits imminently: keep it live (exact
                 # per-cycle credit and stall attribution) and nap the
                 # front-end alone; the back-end ends the nap at the
@@ -352,48 +325,64 @@ class CoreComponent:
             self.wake_front()
 
     def settle(self, now: int) -> None:
-        """Batch-account the elided back-end cycles ``[settled_to, now)``."""
-        if self.window is _NO_WINDOW or now <= self.settled_to:
+        """Batch-account the elided back-end cycles ``[settled_to, now)``.
+
+        Re-entrant: a window may be settled piecewise (a mid-window read
+        of the queue, a stall transition) and then again on wake; every
+        elided cycle is charged exactly once.
+        """
+        start = self.settled_to
+        if self.window is _NO_WINDOW or now <= start:
             return
-        cycles = now - self.settled_to
         if self.window is _IDLE:
-            self.core.backend.idle_steps(cycles, self.cause)
+            self.core.backend.idle_steps(now - start, self.cause)
         elif self.window is _REPLAY:
-            self._replay(cycles)
-        elif self.window is _REDIRECT:
-            # Phase 1 — commits/pacing up to the drain: the boundary is
-            # the cycle after the planned drain commit, so the span up
-            # to it never crosses a stall.
-            boundary = self._redirect_boundary
-            cut = min(now, boundary)
-            if cut > self.settled_to:
-                self._replay(cut - self.settled_to)
-                self.settled_to = cut
-            if now >= boundary:
-                # Phase 2 — the drain-complete transition a stepped
-                # front-end performs at the boundary cycle, then pure
-                # "branch" stalls until the penalty elapses (an early
-                # wake settles the prefix; the cause stays pinned).
-                self.core.frontend.begin_redirect(boundary)
-                idle = now - boundary
-                if idle > 0:
-                    self.core.backend.idle_steps(idle, "branch")
-                    self.kernel.stats.redirect_cycles_batched += idle
-                    self._trace("redirect", boundary, idle)
+            self._replay(start, now - start)
         else:
-            self.core.backend.pacing_steps(cycles)
+            boundary = self._redirect_boundary
+            if start < boundary:
+                # Phase 1 — commits/pacing up to the drain: the boundary
+                # is the cycle after the planned drain commit, so the
+                # span up to it never crosses a stall.
+                self._replay(start, min(now, boundary) - start)
+                if now >= boundary:
+                    # The drain-complete transition a stepped front-end
+                    # performs at the boundary cycle, replayed by the
+                    # settlement that first reaches it.
+                    self.core.frontend.begin_redirect(boundary)
+                start = boundary
+            if now > start:
+                # Phase 2 — pure "branch" stalls until the penalty
+                # elapses (an early wake settles the prefix; the cause
+                # stays pinned).
+                idle = now - start
+                self.core.backend.idle_steps(idle, "branch")
+                self.kernel.stats.redirect_cycles_batched += idle
+                self._trace("redirect", start, idle)
         self.settled_to = now
 
-    def _replay(self, cycles: int) -> None:
-        """Settle ``cycles`` elided commit/pacing steps from settled_to."""
+    def observed_iq_count(self) -> int:
+        """The queue count another component reads mid-cycle.
+
+        The ICOUNT arbiter's urgency callback reads it while the shared
+        interconnects step at ``now``: in a stepped run that sees every
+        back-end step before ``now`` and none at ``now``. Settling the
+        open window up to ``now`` reproduces exactly that, so cores
+        under ICOUNT arbitration open replay windows like any other.
+        """
+        self.settle(self.kernel.clock.now)
+        return self.core.backend.iq_count
+
+    def _replay(self, start: int, cycles: int) -> None:
+        """Settle ``cycles`` elided commit/pacing steps from ``start``."""
         _committed, last_commit = self.core.backend.replay_steps(cycles)
         self.kernel.stats.commit_cycles_batched += cycles
-        self._trace("commit", self.settled_to, cycles)
+        self._trace("commit", start, cycles)
         if last_commit is not None:
             # The watchdog must see progress at the cycle the last
             # elided commit actually happened (a stepped run reset it
             # there), not at the settlement cycle.
-            self.kernel.note_progress(self.settled_to + last_commit - 1)
+            self.kernel.note_progress(start + last_commit - 1)
 
     def _trace(self, kind: str, start: int, cycles: int) -> None:
         """Record a settled replay window on this core's timeline track."""
@@ -413,8 +402,8 @@ class CoreComponent:
 
         Settles an idle window's old cause up to the transition and
         re-pins to the cause a stepped back-end would charge from
-        ``now`` on. (Pacing windows charge no stalls, and a live
-        back-end attributes per cycle anyway.)
+        ``now`` on. (Replay windows pin their causes by construction,
+        and a live back-end attributes per cycle anyway.)
         """
         if self.window is not _IDLE:
             return
@@ -426,26 +415,20 @@ class CoreComponent:
 class GroupInterconnectComponent:
     """One shared group's I-interconnect (arbitration and grants)."""
 
-    __slots__ = ("group", "stats")
+    __slots__ = ("group",)
 
-    def __init__(self, group: SharedIcacheGroup, stats: KernelStats) -> None:
+    def __init__(self, group: SharedIcacheGroup) -> None:
         self.group = group
-        self.stats = stats
 
     def sleep_plan(self, now: int) -> int | None:
         # An interconnect with no queued request grants nothing: a
-        # transfer still draining only counts itself busy, which the
-        # batched settlement reproduces, so the component sleeps until
-        # a new request fires the group's activity listener. With
-        # queued requests, the earliest possible grant is the earliest
-        # bus-busy horizon: nothing observable happens before it.
+        # transfer still draining was charged its whole occupancy at
+        # grant, so the component sleeps until a new request fires the
+        # group's activity listener. With queued requests, the earliest
+        # possible grant is the earliest bus-busy horizon: nothing
+        # observable happens before it.
         return self.group.wake_horizon(now + 1)
 
     def step(self, now: int) -> int:
         self.group.step(now)
         return 0
-
-    def on_wake(self, now: int) -> None:
-        # Charge the busy cycles every bus accrued while this component
-        # slept — exactly the per-cycle counts a stepped run made.
-        self.stats.interconnect_busy_batched += self.group.settle_busy(now)

@@ -83,6 +83,11 @@ class SystemSimulator:
             self.kernel.stats.replay_walk_engaged += sum(
                 core.backend.replay_walk_engaged for core in self.system.cores
             )
+            # Break the kernel's and the machine's reference cycles, so
+            # a finished machine is freed by reference counting as soon
+            # as its last user drops it.
+            self.kernel.release()
+            self.system.release()
         result = self.system.collect_results(cycles)
         if self._metrics is not None:
             result.metrics = self.run_metrics().to_payload()

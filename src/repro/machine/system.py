@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar
 
@@ -193,6 +194,10 @@ class System:
         self.runtime = RuntimeCoordinator(self.contexts)
 
         self.cores: list[Core] = []
+        #: Per-core queue-count readers for ICOUNT arbitration, filled
+        #: in place by :meth:`register_components` (the arbiters are
+        #: built before the scheduler units they read through).
+        self._iq_readers: list[Callable[[], int]] = []
         self.group_hardware: list[_GroupHardware] = []
         self._build()
 
@@ -363,10 +368,11 @@ class System:
         config = self.config
         if config.arbitration != "icount":
             return lambda n: make_arbiter(config.arbitration, n)
-        slot_cores = [self.cores[core_id] for core_id in group.core_ids]
+        readers = self._iq_readers
+        core_ids = list(group.core_ids)
 
         def urgency(slot: int) -> float:
-            return -float(slot_cores[slot].backend.iq_count)
+            return -float(readers[core_ids[slot]]())
 
         return lambda n: WeightedArbiter(n, urgency)
 
@@ -386,23 +392,18 @@ class System:
         Also wires the wake plumbing: fill completions and barrier/lock
         hand-offs wake the core, new bus requests wake idle
         interconnects, and in-flight request lifecycle transitions
-        settle sleeping cores' batched stall attribution. A core whose
-        ``iq_count`` feeds a shared group's ICOUNT arbitration must keep
-        its queue count current every cycle, so it only opens
-        constant-count pacing windows.
+        settle sleeping cores' batched stall attribution. ICOUNT
+        arbitration reads each core's queue count through its unit,
+        which settles an open replay window first.
         """
         units = [CoreComponent(core, kernel) for core in self.cores]
-        if self.config.arbitration == "icount":
-            for group in self.topology.groups:
-                if group.shared:
-                    for core_id in group.core_ids:
-                        units[core_id].iq_observed = True
+        self._iq_readers[:] = [unit.observed_iq_count for unit in units]
         for unit in units:
             kernel.register(unit, unit.step_front)
         for hardware in self.group_hardware:
             if hardware.shared is None:
                 continue
-            component = GroupInterconnectComponent(hardware.shared, kernel.stats)
+            component = GroupInterconnectComponent(hardware.shared)
             kernel.register(component)
             hardware.shared.activity_listener = (
                 lambda c=component: kernel.wake(c)
@@ -426,6 +427,29 @@ class System:
             else:
                 for port in hardware.private_ports.values():
                     port.wake_listener = wake_core
+
+    def release(self) -> None:
+        """Break the machine's reference cycles once its run is over.
+
+        The wake/stall listeners and ICOUNT readers hold the scheduler
+        units, which hold the cores that own those listeners, and every
+        I-cache port calls back into the front-end that requests through
+        it. Dropping those links lets a finished machine be freed by
+        reference counting instead of waiting for the cyclic collector.
+        Results, statistics and warm state stay readable; the machine
+        cannot run again.
+        """
+        for core in self.cores:
+            core.frontend.port = None
+        self._iq_readers.clear()
+        self.runtime.wake_listener = None
+        for hardware in self.group_hardware:
+            if hardware.shared is not None:
+                hardware.shared.wake_listener = None
+                hardware.shared.stall_listener = None
+                hardware.shared.activity_listener = None
+            for port in hardware.private_ports.values():
+                port.wake_listener = None
 
     def all_finished(self) -> bool:
         """True when every thread consumed its trace and drained."""
@@ -639,14 +663,13 @@ class System:
             stats = hardware.cache.stats
             l2_stats = hardware.hierarchy.l2.stats
             if hardware.shared is not None:
-                # A transfer still draining when the run ends was never
-                # stepped past the final cycle: settle its batched busy
-                # accounting exactly where a stepped run stopped.
-                hardware.shared.settle_busy(cycles)
                 bus_tx = hardware.shared.interconnect.total_transactions()
                 bus_wait = hardware.shared.interconnect.total_wait_cycles()
+                # Occupancy is charged at grant: drop what a transfer
+                # still draining at the end charged past the final
+                # cycle, which a stepped run never reached.
                 bus_busy = sum(
-                    bus.stats.busy_cycles
+                    bus.stats.busy_cycles - bus.busy_overhang(cycles)
                     for bus in hardware.shared.interconnect.buses
                 )
                 merges = hardware.shared.mshrs.stats.merges

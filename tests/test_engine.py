@@ -86,7 +86,6 @@ class _CountdownComponent:
 
     def __init__(self, work: int) -> None:
         self.work = work
-        self.slept_from: int | None = None
         self.woken_at: list[int] = []
 
     def step(self, now: int) -> int:
@@ -97,9 +96,6 @@ class _CountdownComponent:
 
     def sleep_plan(self, now: int) -> int | None:
         return NEVER if self.work == 0 else None
-
-    def on_sleep(self, now: int) -> None:
-        self.slept_from = now + 1
 
     def on_wake(self, now: int) -> None:
         self.woken_at.append(now)
@@ -134,7 +130,6 @@ class TestKernel:
         assert kernel.stats.skips == 1
         assert kernel.stats.cycles_skipped == 1000 - 3
         assert kernel.stats.cycles_executed == 4
-        assert component.slept_from == 3
         assert component.woken_at == []  # the event never wakes it
 
     def test_timer_wake_resumes_component(self):
@@ -155,9 +150,6 @@ class TestKernel:
 
             def sleep_plan(self, now: int) -> int | None:
                 return 100 if now < 100 else NEVER
-
-            def on_sleep(self, now: int) -> None:
-                pass
 
             def on_wake(self, now: int) -> None:
                 self.woken_at.append(now)
@@ -222,7 +214,6 @@ class _TwoPointComponent:
         self.log = log
         self.sleep_at = sleep_at
         self.wake_at = wake_at
-        self.slept: list[int] = []
         self.woken: list[int] = []
 
     def front(self, now: int) -> int:
@@ -235,9 +226,6 @@ class _TwoPointComponent:
 
     def sleep_plan(self, now: int) -> int | None:
         return self.wake_at if now == self.sleep_at else None
-
-    def on_sleep(self, now: int) -> None:
-        self.slept.append(now)
 
     def on_wake(self, now: int) -> None:
         self.woken.append(now)
@@ -281,7 +269,6 @@ class TestStepPoints:
         stepped = sorted({now for _point, now in log})
         assert stepped == [0, 1, 2, 10, 11]
         assert [point for point, _now in log] == ["front", "back"] * 5
-        assert unit.slept == [2]
         assert unit.woken == [10]
         # One timer: a single wake, and one clock jump straight to it.
         assert kernel.stats.wakes == 1

@@ -118,6 +118,17 @@ class TestBus:
             bus.step(cycle)
         assert bus.stats.utilization(10) == pytest.approx(0.2)
 
+    def test_occupancy_charged_at_grant(self):
+        # 64 B over an 8 B bus: the whole 8-cycle occupancy is charged
+        # on the grant cycle; a run ending mid-transfer subtracts the
+        # part a stepped bus never reached.
+        bus = Bus(requester_count=1, width_bytes=8)
+        bus.request(0, 0x100, now=3)
+        bus.step(3)
+        assert bus.stats.busy_cycles == 8
+        assert bus.busy_overhang(5) == 6
+        assert bus.busy_overhang(11) == 0
+
     def test_invalid_requester_rejected(self):
         bus = Bus(requester_count=1)
         with pytest.raises(SimulationError):

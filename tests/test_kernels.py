@@ -284,26 +284,12 @@ class TestReplayWalkSpec:
             credit, ipc = engine._credit, engine._ipc
             iq = engine._iq_count
 
-            next_commit = native.replay_walk(
-                kernels.REPLAY_NEXT, credit, ipc, iq, cap, -1
-            )
-            assert engine.cycles_to_next_commit(cap) == (
-                (next_commit or None) if iq else None
-            )
-
             space_limit = engine.iq_capacity - space if space else -1
             horizon = native.replay_walk(
                 kernels.REPLAY_HORIZON, credit, ipc, iq, cap, space_limit
             )
             assert engine.replay_horizon(space, cap) == (
-                horizon if iq else None
-            )
-
-            drain = native.replay_walk(
-                kernels.REPLAY_DRAIN, credit, ipc, iq, cap, -1
-            )
-            assert engine.drain_horizon(cap) == (
-                (drain or None) if iq else None
+                (horizon or None) if iq else None
             )
 
     def test_steps_mode_matches_stepped_settlement(self, native, monkeypatch):
@@ -359,11 +345,12 @@ class TestBackendReplayRouting:
 
             def walk(engine):
                 results = [
-                    engine.cycles_to_next_commit(cap),
                     engine.replay_horizon(space, cap),
-                    engine.drain_horizon(cap),
+                    engine.replay_horizon(0, cap),
                 ]
-                span = (engine.replay_horizon(0, cap) or 1) - 1
+                # Up to the drain, or the whole cap when the queue does
+                # not drain inside it: every such cycle is replayable.
+                span = results[-1] or (cap if engine._iq_count else 0)
                 if span:
                     results.append(engine.replay_steps(span))
                     results.append(engine._iq_count)
@@ -582,13 +569,9 @@ class TestCompiledSpanEquivalence:
             engine._credit = credit
             engine._ipc = ipc
             engine._iq_count = iq
-            if mode == kernels.REPLAY_NEXT:
-                result = engine.cycles_to_next_commit(count)
-            elif mode == kernels.REPLAY_HORIZON:
+            if mode == kernels.REPLAY_HORIZON:
                 space = capacity - space_limit if space_limit >= 0 else 0
                 result = engine.replay_horizon(space, count)
-            elif mode == kernels.REPLAY_DRAIN:
-                result = engine.drain_horizon(count)
             else:
                 try:
                     result = engine.replay_steps(count)
@@ -607,7 +590,7 @@ class TestCompiledSpanEquivalence:
         rng = random.Random(63)
         stalls = 0
         for trial in range(4000):
-            mode = rng.randrange(4)
+            mode = rng.choice([kernels.REPLAY_HORIZON, kernels.REPLAY_STEPS])
             credit = rng.uniform(0.0, 1.5)
             ipc = rng.choice(
                 [0.3, 0.6, 0.75, 1.0, 1.6, 2.3, rng.uniform(0.05, 4.0)]
@@ -704,6 +687,26 @@ class TestBuildCli:
         assert "staleness:" in out
         assert status in (0, 1)
         assert (status == 0) == ("staleness: current" in out)
+
+    def test_check_names_a_stale_builds_abi(self, monkeypatch, tmp_path):
+        # repro.kernels rejects a stale build by resetting its `_native`
+        # attribute to None; the check must still report the ABI the
+        # loaded extension carries.
+        import types
+
+        from repro import kernels
+        from repro.kernels import build as build_module
+
+        target = build_module.extension_path(tmp_path)
+        target.touch()
+        stale = types.ModuleType("repro.kernels._native")
+        stale.ABI = kernels.ABI - 1
+        monkeypatch.setitem(sys.modules, "repro.kernels._native", stale)
+        monkeypatch.setattr(kernels, "_native", None)
+        assert build_module.staleness(tmp_path) == (
+            f"{target.name} reports ABI {kernels.ABI - 1}, "
+            f"expected {kernels.ABI}"
+        )
 
     def test_build_failure_surfaces_compiler_stderr(
         self, monkeypatch, tmp_path

@@ -8,6 +8,7 @@ acmp entries included), campaign sharding, and the interconnect
 busy-cycle batching.
 """
 
+import gc
 import json
 
 import pytest
@@ -33,6 +34,7 @@ from repro.machine import (
     simulate,
 )
 from repro.machine.simulator import SystemSimulator
+from repro.machine.system import System
 from repro.scmp import ScmpConfig, banked_config, private_config
 from repro.scmp.topology import build_topology
 from repro.trace.records import IpcRecord, SyncKind, SyncRecord
@@ -356,45 +358,70 @@ class TestSharding:
 
 
 class TestBusyBatching:
-    """The interconnect's batched busy-cycle accounting (ROADMAP lever)."""
+    """Bus occupancy is charged at grant; the scheduled engine's sleeping
+    interconnect must still report the stepped engine's busy cycles."""
 
-    def _simulator(self, config, bench="UA"):
+    def _busy(self, config, cycle_skip, bench="UA"):
         model = model_for_config(config)
         traces = synthesize_benchmark(
             bench, thread_count=config.core_count, scale=0.05
         )
         system = model.build_system(config, traces)
         system.warm_instruction_l2s()
-        return SystemSimulator(system)
+        result = SystemSimulator(system, cycle_skip=cycle_skip).run()
+        return [group.bus_busy_cycles for group in result.cache_groups]
+
+    def _assert_engines_agree(self, config, bench="UA"):
+        scheduled = self._busy(config, True, bench)
+        assert scheduled == self._busy(config, False, bench)
+        assert sum(scheduled) > 0
 
     def test_narrow_bus_batches_busy_windows(self):
-        # 64 B lines over an 8 B bus occupy a bus for 8 cycles: the
-        # interconnect component must sleep across those windows and
-        # recover the busy accounting in batches.
-        simulator = self._simulator(
+        # 64 B lines over an 8 B bus occupy a bus for 8 cycles, which
+        # the interconnect component sleeps across.
+        self._assert_engines_agree(
             worker_shared_config(bus_count=1, bus_width_bytes=8)
         )
-        result = simulator.run()
-        stats = simulator.kernel.stats
-        assert stats.interconnect_busy_batched > 0
-        busy = sum(group.bus_busy_cycles for group in result.cache_groups)
-        assert busy >= stats.interconnect_busy_batched
 
     def test_reference_engine_never_batches(self):
-        config = worker_shared_config(bus_count=1, bus_width_bytes=8)
-        model = model_for_config(config)
-        traces = synthesize_benchmark(
-            "UA", thread_count=config.core_count, scale=0.05
+        # Two narrow buses, on a second benchmark: the busy count per
+        # group must still match the cycle-by-cycle engine's exactly.
+        self._assert_engines_agree(
+            worker_shared_config(bus_count=2, bus_width_bytes=8), bench="CG"
         )
-        system = model.build_system(config, traces)
-        system.warm_instruction_l2s()
-        simulator = SystemSimulator(system, cycle_skip=False)
-        simulator.run()
-        assert simulator.kernel.stats.interconnect_busy_batched == 0
 
     def test_default_width_still_engages(self):
-        # Even at the paper's 32 B bus (2-cycle occupancy), draining
-        # transfers let the component sleep and settle on wake.
-        simulator = self._simulator(worker_shared_config())
-        simulator.run()
-        assert simulator.kernel.stats.interconnect_busy_batched > 0
+        # The paper's 32 B bus (2-cycle occupancy).
+        self._assert_engines_agree(worker_shared_config())
+
+
+class TestRelease:
+    """A finished machine is freed by reference counting: the scheduler
+    wiring's reference cycles are broken when the run exits."""
+
+    def test_no_system_outlives_its_simulate_call(self):
+        configs = [
+            baseline_config(),
+            worker_shared_config(arbitration="icount"),
+            banked_config(cores_per_cache=4),
+        ]
+        traces = {
+            config.core_count: synthesize_benchmark(
+                "CG", thread_count=config.core_count, scale=0.02
+            )
+            for config in configs
+        }
+
+        def systems() -> int:
+            return sum(isinstance(obj, System) for obj in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = systems()
+            for config in configs:
+                simulate(config, traces[config.core_count])
+            after = systems()
+        finally:
+            gc.enable()
+        assert after == before

@@ -11,8 +11,11 @@ from random import Random
 
 import pytest
 
-from repro.acmp import baseline_config, simulate, worker_shared_config
+from repro.acmp import baseline_config, simulate
+from repro.engine import SimulationKernel
 from repro.errors import WorkloadError
+from repro.machine.components import CoreComponent
+from repro.machine.model import model_for_config
 from repro.trace.records import (
     BasicBlockRecord,
     BranchKind,
@@ -127,3 +130,62 @@ class TestTraceHygiene:
 
         with pytest.raises(WorkloadError):
             synthesize_benchmark("CG", scale=-1)
+
+
+def _redirect_window():
+    """A core unit that has just opened a redirect-replay window: a
+    mispredict drain with an empty FTQ and 20 queued instructions at a
+    sub-unit commit rate (commits and pacing steps up to the drain)."""
+    config = baseline_config(worker_count=1)
+    traces = _single_thread_set(_steady_blocks(4))
+    system = model_for_config(config).build_system(config, traces)
+    core = system.cores[0]
+    unit = CoreComponent(core, SimulationKernel(events=system.events))
+    core.backend.set_ipc(0.6)
+    core.backend.iq_push(20)
+    core.frontend._redirect_drain = True
+    core.frontend.idle_step = True
+    wake = unit.sleep_plan(10)
+    assert wake is not None and unit.window == "redirect"
+    return unit, wake
+
+
+def _settled_state(unit):
+    backend, frontend = unit.core.backend, unit.core.frontend
+    stats = unit.kernel.stats
+    return (
+        backend.stats.committed,
+        backend.stats.base_cycles,
+        dict(backend.stats.stall_cycles),
+        backend.iq_count,
+        repr(backend._credit),
+        frontend._redirect_drain,
+        frontend._redirect_until,
+        stats.commit_cycles_batched,
+        stats.redirect_cycles_batched,
+        unit.kernel.last_progress,
+    )
+
+
+class TestRedirectReplaySettlement:
+    """A redirect-replay window settled piecewise (a mid-window read of
+    the core's queue count) must charge exactly what one settlement at
+    its wake does: the drain-complete transition replays once and no
+    "branch" cycle is charged twice."""
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [(-1,), (0,), (1,), (0, 0), (-2, 0, 1), (-1, 1, 2, 2)],
+        ids=str,
+    )
+    def test_piecewise_settlement_matches_one_at_wake(self, offsets):
+        whole, wake = _redirect_window()
+        whole.on_wake(wake)
+        pieces, wake = _redirect_window()
+        boundary = pieces._redirect_boundary
+        assert boundary + max(offsets) < wake
+        for offset in offsets:
+            pieces.settle(boundary + offset)
+        pieces.on_wake(wake)
+        assert _settled_state(pieces) == _settled_state(whole)
+        assert whole.kernel.stats.redirect_cycles_batched > 0

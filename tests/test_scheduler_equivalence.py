@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.acmp import (
     AcmpConfig,
     all_shared_config,
@@ -24,7 +25,8 @@ from repro.acmp import (
     worker_shared_config,
 )
 from repro.errors import DeadlockError
-from repro.machine import result_to_dict, simulate
+from repro.machine import SystemSimulator, result_to_dict, simulate
+from repro.machine.model import model_for_config
 from repro.scmp import ScmpConfig, banked_config, private_config
 from repro.trace.records import (
     BasicBlockRecord,
@@ -182,6 +184,50 @@ def test_bit_identical_results(label, config, bench):
     )
     scheduled = simulate(config, traces, cycle_skip=True)
     stepped = simulate(config, traces, cycle_skip=False)
+    assert result_to_dict(scheduled) == result_to_dict(stepped)
+
+
+#: ICOUNT arbitration over every core of one shared cache: the arbiter
+#: reads each core's queue count mid-cycle, while the core may be
+#: asleep inside a replay window.
+ICOUNT_SHARED = [
+    (
+        "acmp-all-shared-icount",
+        AcmpConfig(
+            worker_count=4,
+            cores_per_cache=4,
+            all_shared=True,
+            arbitration="icount",
+        ),
+    ),
+    (
+        "scmp-shared-icount",
+        ScmpConfig(core_count_total=4, cores_per_cache=4, arbitration="icount"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("label", "config"),
+    ICOUNT_SHARED,
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+@pytest.mark.parametrize("timeline", (False, True), ids=("obs-off", "timeline"))
+def test_icount_observed_cores_replay(label, config, timeline):
+    # The arbiter reads queue counts through each core's unit, which
+    # settles an open window up to the current cycle first, so observed
+    # cores batch commit and redirect replay like any other core.
+    traces = synthesize_benchmark(
+        "UA", thread_count=config.core_count, scale=0.03, seed=3
+    )
+    with obs.recording(metrics=timeline, timeline=timeline):
+        system = model_for_config(config).build_system(config, traces)
+        system.warm_instruction_l2s()
+        simulator = SystemSimulator(system)
+        scheduled = simulator.run()
+        stepped = simulate(config, traces, cycle_skip=False)
+    assert simulator.kernel.stats.commit_cycles_batched > 0
+    assert simulator.kernel.stats.redirect_cycles_batched > 0
     assert result_to_dict(scheduled) == result_to_dict(stepped)
 
 
